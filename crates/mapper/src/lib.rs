@@ -26,12 +26,10 @@
 //! # Ok::<(), ulm_mapper::MapperError>(())
 //! ```
 
-pub mod anneal;
 pub mod enumerate;
 pub mod factorize;
 pub mod spatial_search;
 
-pub use anneal::AnnealOptions;
 pub use spatial_search::{search_spatial, search_spatial_with, spatial_candidates, SpatialOptions};
 
 use factorize::{ordering_count, temporal_factors, Factor};
@@ -286,6 +284,13 @@ impl ChunkOutcome {
 /// overhead. Override with [`Mapper::with_batch_lanes`].
 pub const DEFAULT_BATCH_LANES: usize = 64;
 
+/// Upper bound on the lanes one batch may use, whatever
+/// [`Mapper::with_batch_lanes`] asks for. The kernel allocates its SoA
+/// rows per lane up front, and the lane count can arrive from a client;
+/// results are identical at every lane count, so clamping never changes
+/// an answer.
+pub const MAX_BATCH_LANES: usize = 1024;
+
 /// The mapping-space search driver.
 pub struct Mapper<'a> {
     arch: &'a Architecture,
@@ -343,11 +348,15 @@ impl<'a> Mapper<'a> {
         self
     }
 
-    /// The lane count the latency hot path will actually use for `obj`
+    /// The lane count the latency hot path will actually use for `obj`:
+    /// the requested count clamped to `1..=`[`MAX_BATCH_LANES`]
     /// (energy-bearing objectives evaluate scalar, lane count 1).
     pub fn effective_batch_lanes(&self, obj: Objective) -> usize {
         match obj {
-            Objective::Latency => self.batch_lanes.unwrap_or(DEFAULT_BATCH_LANES).max(1),
+            Objective::Latency => self
+                .batch_lanes
+                .unwrap_or(DEFAULT_BATCH_LANES)
+                .clamp(1, MAX_BATCH_LANES),
             Objective::Energy | Objective::Edp => 1,
         }
     }

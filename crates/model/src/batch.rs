@@ -10,28 +10,33 @@
 //! counts — into contiguous per-row lanes, then evaluating the phase
 //! floor and roofline bounds for all lanes in lockstep so the compiler
 //! can autovectorize. Only the (few) lanes that survive pruning pay for
-//! the Eq. (1)/(2) stall integration, which runs through the *same*
-//! [`finish`](crate::dtl) + [`StallScratch::combine_and_integrate`]
-//! code the scalar path uses — so surviving scores are bit-identical to
-//! [`LatencyModel::evaluate_fast`] by construction.
+//! Steps 1–3: a survivor's DTLs come out of the shared Step-1 body
+//! (`dtl::build_dtls_with`, reading the lane's rows) and its stall out of
+//! the shared Step-2/3 helper, the *same* code the scalar path runs — so
+//! surviving scores are bit-identical to [`LatencyModel::evaluate_fast`]
+//! by construction. The kernel is a lane-width policy over that model,
+//! not a second implementation of it.
 //!
 //! Batch-constant work is hoisted into [`BatchKernel::new`]: the spatial
 //! fit and coverage checks (`CC_spatial` and every dimension extent are
 //! multiset invariants, independent of order), per-level capacity
-//! budgets for the greedy allocation, port bandwidths and DTL endpoint
-//! templates. Per pushed ordering the kernel extends prefix-memoized
-//! cycle counts and residency words (shared inner prefixes with the
-//! previously pushed ordering are reused, mirroring the scalar path's
-//! `cache_hits` accounting), replays the greedy level allocation with
-//! precomputed word budgets, and derives `Z`/refill/run scalars from
-//! closed-form suffix products instead of re-walking loop stacks.
+//! budgets for the greedy allocation, and the link constants (port
+//! bandwidths, endpoints, buffering), folded once into the same slot
+//! table the surrogate uses. Per pushed ordering the kernel extends
+//! prefix-memoized cycle counts and residency words (shared inner
+//! prefixes with the previously pushed ordering are reused, mirroring the
+//! scalar path's `cache_hits` accounting), replays the greedy level
+//! allocation with precomputed word budgets, and derives `Z`/refill/run
+//! scalars from closed-form suffix products instead of re-walking loop
+//! stacks.
 
-use crate::dtl::{finish, Dtl, DtlKind, Endpoint, Endpoints, WindowShape};
+use crate::dtl::{build_dtls_with, Dtl, LevelRows};
 use crate::fast::FastLatency;
-use crate::lower::kv_active_interfaces;
-use crate::stall::StallScratch;
+use crate::lower::{kv_active_interfaces, LevelLowering};
+use crate::slots::{ArchSlots, FoldedSlots};
+use crate::stall::{Reuse, StallScratch};
 use crate::LatencyModel;
-use ulm_arch::{Architecture, MemoryId, PortUse};
+use ulm_arch::{Architecture, MemoryId};
 use ulm_mapping::SpatialUnroll;
 use ulm_workload::{Dim, DimSizes, Layer, Operand, Relevance, ALL_DIMS};
 
@@ -47,21 +52,6 @@ pub enum LaneOutcome {
     /// Fully evaluated: `CC_total`, bit-identical to
     /// [`LatencyModel::evaluate_fast`] on the same ordering.
     Scored(f64),
-}
-
-/// Constant per-(operand, level<top) link data shared by every lane.
-#[derive(Debug, Clone, Copy)]
-struct LinkSpec {
-    /// The narrower of the two port bandwidths the main (refill/drain)
-    /// link occupies — also the preload/offload and roofline bandwidth.
-    link_bw: u64,
-    /// Whether the receiving/source (lower) memory double-buffers.
-    lower_db: bool,
-    /// Endpoints of the refill (W/I) or drain (O) link.
-    main_eps: Endpoints,
-    /// O only: psum-readback bandwidth and endpoints.
-    psum_bw: u64,
-    psum_eps: Endpoints,
 }
 
 /// Constant per-operand data shared by every lane.
@@ -88,13 +78,8 @@ struct OpSpec {
     /// Per level < top: greedy capacity budget in *words*
     /// (`mapper_capacity_bits / sharers / bits`, floored).
     cap_words: Vec<u64>,
-    /// Per level < top: link constants.
-    links: Vec<LinkSpec>,
     /// Compute-facing link: relevant spatial words per cycle.
     words_per_cycle: u64,
-    /// Compute-facing link: port bandwidth and endpoint.
-    compute_bw: u64,
-    compute_eps: Endpoints,
 }
 
 /// A reusable batched evaluator for one (architecture, layer, spatial,
@@ -116,7 +101,8 @@ pub struct BatchKernel<'a> {
     /// Per physical memory: capacity in bits, `None` for backing stores
     /// (exempt from the residency check).
     mem_caps: Vec<Option<u64>>,
-    compute_links: bool,
+    /// Link constants per interface, folded once from the hierarchy.
+    slots: FoldedSlots,
 
     // --- prefix memoization (persists across drains) ---
     prev: Vec<(Dim, u64)>,
@@ -230,88 +216,19 @@ impl<'a> BatchKernel<'a> {
                     Relevance::Relevant | Relevance::Irrelevant
                 )
             });
-            let mut cap_words = Vec::new();
-            let mut links = Vec::new();
-            for level in 0..chain.len().saturating_sub(1) {
-                let lower = chain[level];
-                let upper = chain[level + 1];
-                let mem = h.mem(lower);
-                let sharers = h.served_operand_count(lower) as u64;
-                cap_words.push(mem.mapper_capacity_bits() / sharers / bits);
-                let spec = match op {
-                    Operand::W | Operand::I => {
-                        let (wp, wbw) = h.port(lower, op, PortUse::WriteIn);
-                        let (rp, rbw) = h.port(upper, op, PortUse::ReadOut);
-                        let main_eps = Endpoints::two(
-                            Endpoint {
-                                mem: upper,
-                                port: rp,
-                                usage: PortUse::ReadOut,
-                            },
-                            Endpoint {
-                                mem: lower,
-                                port: wp,
-                                usage: PortUse::WriteIn,
-                            },
-                        );
-                        LinkSpec {
-                            link_bw: wbw.min(rbw),
-                            lower_db: mem.is_double_buffered(),
-                            main_eps,
-                            psum_bw: 0,
-                            psum_eps: main_eps,
-                        }
-                    }
-                    Operand::O => {
-                        let (rp, rbw) = h.port(lower, op, PortUse::ReadOut);
-                        let (wp, wbw) = h.port(upper, op, PortUse::WriteIn);
-                        let (rp2, rbw2) = h.port(upper, op, PortUse::ReadOut);
-                        let (wp2, wbw2) = h.port(lower, op, PortUse::WriteIn);
-                        LinkSpec {
-                            link_bw: rbw.min(wbw),
-                            lower_db: mem.is_double_buffered(),
-                            main_eps: Endpoints::two(
-                                Endpoint {
-                                    mem: lower,
-                                    port: rp,
-                                    usage: PortUse::ReadOut,
-                                },
-                                Endpoint {
-                                    mem: upper,
-                                    port: wp,
-                                    usage: PortUse::WriteIn,
-                                },
-                            ),
-                            psum_bw: rbw2.min(wbw2),
-                            psum_eps: Endpoints::two(
-                                Endpoint {
-                                    mem: upper,
-                                    port: rp2,
-                                    usage: PortUse::ReadOut,
-                                },
-                                Endpoint {
-                                    mem: lower,
-                                    port: wp2,
-                                    usage: PortUse::WriteIn,
-                                },
-                            ),
-                        }
-                    }
-                };
-                links.push(spec);
-            }
+            let cap_words = chain[..chain.len().saturating_sub(1)]
+                .iter()
+                .map(|&lower| {
+                    let sharers = h.served_operand_count(lower) as u64;
+                    h.mem(lower).mapper_capacity_bits() / sharers / bits
+                })
+                .collect();
             let words_per_cycle: u64 = spatial
                 .factors()
                 .iter()
                 .filter(|(d, _)| rel_table.get(*d) != Relevance::Irrelevant)
                 .map(|&(_, f)| f)
                 .product();
-            let usage = match op {
-                Operand::W | Operand::I => PortUse::ReadOut,
-                Operand::O => PortUse::WriteIn,
-            };
-            let innermost = chain[0];
-            let (p, bw) = h.port(innermost, op, usage);
             OpSpec {
                 op,
                 bits,
@@ -321,14 +238,7 @@ impl<'a> BatchKernel<'a> {
                 rel,
                 words_mult,
                 cap_words,
-                links,
                 words_per_cycle,
-                compute_bw: bw,
-                compute_eps: Endpoints::one(Endpoint {
-                    mem: innermost,
-                    port: p,
-                    usage,
-                }),
             }
         };
         let ops = [
@@ -371,7 +281,7 @@ impl<'a> BatchKernel<'a> {
             cc_spatial,
             ops,
             mem_caps,
-            compute_links: model.dtl_options().compute_links,
+            slots: FoldedSlots::fold(h),
             prev: Vec::with_capacity(n),
             prefix_cycles: {
                 let mut v = vec![0u64; n + 1];
@@ -637,7 +547,7 @@ impl<'a> BatchKernel<'a> {
             self.lane_tmp[..cnt].fill(0);
             for lvl in 0..spec.active {
                 let base = (self.row_off[oi] + lvl) * lanes;
-                let bw = spec.links[lvl].link_bw;
+                let bw = self.slots.interface(spec.op, lvl).bw_bits;
                 let bits = spec.bits;
                 let words = &self.r_words[base..base + cnt];
                 for (acc, &w) in self.lane_tmp[..cnt].iter_mut().zip(words) {
@@ -654,7 +564,7 @@ impl<'a> BatchKernel<'a> {
             let spec = &self.ops[2];
             for lvl in 0..spec.active {
                 let base = (self.row_off[2] + lvl) * lanes;
-                let bw = spec.links[lvl].link_bw;
+                let bw = self.slots.interface(spec.op, lvl).bw_bits;
                 for lane in 0..cnt {
                     let bits = if self.r_final[base + lane] {
                         self.out_final_bits
@@ -686,7 +596,7 @@ impl<'a> BatchKernel<'a> {
         for (oi, spec) in self.ops.iter().enumerate() {
             for lvl in 0..spec.active {
                 let base = (self.row_off[oi] + lvl) * lanes;
-                let bw = spec.links[lvl].link_bw as f64;
+                let bw = self.slots.interface(spec.op, lvl).bw_bits as f64;
                 let bits = spec.bits;
                 for lane in 0..cnt {
                     let idx = base + lane;
@@ -709,9 +619,9 @@ impl<'a> BatchKernel<'a> {
         }
     }
 
-    /// Full evaluation of one surviving lane: rebuild its DTL list from
-    /// the SoA rows and the precomputed link templates (the same order
-    /// and arithmetic as `build_dtls_lowered`), run Steps 2–3, compose.
+    /// Full evaluation of one surviving lane: build its DTL list from
+    /// the lane's rows through the shared Step-1 body, run Steps 2–3,
+    /// compose.
     fn score_lane(&mut self, lane: usize) -> f64 {
         // Memo lookup: the score is fully determined by the lane's row
         // tuple (everything else in the pipeline is a kernel constant).
@@ -731,19 +641,18 @@ impl<'a> BatchKernel<'a> {
         if let Some(&score) = self.score_cache.get(self.score_sig.as_slice()) {
             return score;
         }
-        let opts = *self.model.options();
-        let ss_overall = if opts.bw_aware {
-            self.build_lane_dtls(lane);
-            let raw = self.stall.combine_and_integrate(
-                self.arch,
-                &self.dtls,
-                opts.union,
-                opts.eq2_oversubscription_bound,
-            );
-            raw.max(0.0)
-        } else {
-            0.0
-        };
+        let mut dtls = std::mem::take(&mut self.dtls);
+        build_dtls_with(
+            self.layer,
+            self.model.dtl_options(),
+            &Lane { kernel: self, lane },
+            &self.slots,
+            &mut dtls,
+        );
+        let ss_overall =
+            self.model
+                .ss_overall(self.arch, &dtls, &mut self.stall, Reuse::Nothing, false);
+        self.dtls = dtls;
         let score = FastLatency::compose(
             self.lane_pre[lane],
             self.lane_off[lane],
@@ -759,106 +668,37 @@ impl<'a> BatchKernel<'a> {
         }
         score
     }
+}
 
-    fn build_lane_dtls(&mut self, lane: usize) {
-        let phase_aware_z = self.model.dtl_options().phase_aware_z;
-        self.dtls.clear();
-        for (oi, spec) in self.ops.iter().enumerate() {
-            for lvl in 0..spec.active {
-                let idx = (self.row_off[oi] + lvl) * self.lanes + lane;
-                let link = &spec.links[lvl];
-                let words = self.r_words[idx];
-                let period = self.r_period[idx];
-                let z = self.r_z[idx];
-                let run = self.r_run[idx];
-                let full = link.lower_db || run == 1;
-                match spec.op {
-                    Operand::W | Operand::I => {
-                        let shape = if full {
-                            WindowShape::Full
-                        } else {
-                            WindowShape::Trailing(run)
-                        };
-                        self.dtls.push(finish(
-                            spec.op,
-                            DtlKind::RefillDown,
-                            lvl,
-                            words * spec.bits,
-                            period,
-                            z,
-                            shape,
-                            link.link_bw as f64,
-                            link.main_eps,
-                            phase_aware_z,
-                        ));
-                    }
-                    Operand::O => {
-                        let final_above = self.r_final[idx];
-                        let bits = if final_above {
-                            self.out_final_bits
-                        } else {
-                            self.out_partial_bits
-                        };
-                        let shape = if full {
-                            WindowShape::Full
-                        } else {
-                            WindowShape::Trailing(run)
-                        };
-                        self.dtls.push(finish(
-                            spec.op,
-                            DtlKind::DrainUp,
-                            lvl,
-                            words * bits,
-                            period,
-                            z,
-                            shape,
-                            link.link_bw as f64,
-                            link.main_eps,
-                            phase_aware_z,
-                        ));
-                        if !final_above {
-                            let shape = if full {
-                                WindowShape::Full
-                            } else {
-                                WindowShape::Leading(run)
-                            };
-                            self.dtls.push(finish(
-                                spec.op,
-                                DtlKind::PsumReadback,
-                                lvl,
-                                words * self.psum_bits,
-                                period,
-                                z,
-                                shape,
-                                link.psum_bw as f64,
-                                link.psum_eps,
-                                phase_aware_z,
-                            ));
-                        }
-                    }
-                }
-            }
-            if self.compute_links {
-                let idx = self.row_off[oi] * self.lanes + lane;
-                let kind = match spec.op {
-                    Operand::W | Operand::I => DtlKind::ComputeFeed,
-                    Operand::O => DtlKind::ComputeWriteback,
-                };
-                let period = self.r_period[idx];
-                self.dtls.push(finish(
-                    spec.op,
-                    kind,
-                    0,
-                    spec.words_per_cycle * spec.bits * period,
-                    period,
-                    self.r_z[idx],
-                    WindowShape::Full,
-                    spec.compute_bw as f64,
-                    spec.compute_eps,
-                    phase_aware_z,
-                ));
-            }
+/// One lane of the kernel's SoA rows, read as the residency tables
+/// Step 1 consumes.
+struct Lane<'k, 'a> {
+    kernel: &'k BatchKernel<'a>,
+    lane: usize,
+}
+
+impl LevelRows for Lane<'_, '_> {
+    fn active_interfaces(&self, op: Operand) -> usize {
+        self.kernel.ops[op.index()].active
+    }
+
+    fn row(&self, op: Operand, level: usize) -> LevelLowering {
+        let k = self.kernel;
+        let idx = (k.row_off[op.index()] + level) * k.lanes + self.lane;
+        LevelLowering {
+            words: k.r_words[idx],
+            period: k.r_period[idx],
+            z: k.r_z[idx],
+            run: k.r_run[idx],
+            refills: k.r_refills[idx],
+            distinct_above: k.r_distinct[idx],
+            final_above: k.r_final[idx],
+            loops: (0, 0),
         }
+    }
+
+    fn words_per_cycle(&self, op: Operand) -> u64 {
+        self.kernel.ops[op.index()].words_per_cycle
     }
 }
 

@@ -2,7 +2,8 @@
 //! Memories and per-direction Data Transfer Links (DTLs), and compute each
 //! DTL's attributes — `ReqBW_u`, `X_REQ`, `X_REAL`, `MUW_u` and `SS_u`.
 
-use crate::slots::{ArchSlots, LiveSlots};
+use crate::lower::LevelLowering;
+use crate::slots::ArchSlots;
 use std::fmt;
 use ulm_arch::{MemoryId, PortId, PortUse};
 use ulm_mapping::MappedLayer;
@@ -184,7 +185,7 @@ impl Dtl {
 }
 
 /// Window shape selector for one link.
-pub(crate) enum WindowShape {
+enum WindowShape {
     /// Update may overlap compute for the whole period (double-buffered
     /// memory, or non-DB with a relevant top loop): `X_REQ = Mem_CC`.
     Full,
@@ -212,7 +213,7 @@ fn make_window(shape: WindowShape, period: u64, z: u64) -> (f64, PeriodicWindow)
 }
 
 #[allow(clippy::too_many_arguments)] // a DTL is genuinely 9-dimensional
-pub(crate) fn finish(
+fn finish(
     operand: Operand,
     kind: DtlKind,
     level: usize,
@@ -285,38 +286,41 @@ pub fn build_dtls(view: &MappedLayer<'_>, opts: DtlOptions) -> Vec<Dtl> {
     crate::LoweredLayer::build(view, opts).into_dtls()
 }
 
-/// Step 1 proper: reads the residency tables of a freshly lowered
-/// [`LoweredLayer`](crate::LoweredLayer) and appends the DTL list to it,
-/// answering every architecture lookup through [`LiveSlots`].
-pub(crate) fn build_dtls_lowered(view: &MappedLayer<'_>, lw: &mut crate::LoweredLayer) {
-    let slots = LiveSlots::new(view.arch().hierarchy());
-    build_dtls_with(view.layer(), lw, &slots);
+/// The per-`(operand, level)` rows Step 1 reads: a lowered layer's
+/// residency tables, or one lane of the batched kernel's SoA rows.
+pub(crate) trait LevelRows {
+    /// Interfaces of `op`'s chain that carry traffic (see
+    /// [`LoweredLayer::active_interfaces`](crate::LoweredLayer::active_interfaces)).
+    fn active_interfaces(&self, op: Operand) -> usize;
+    /// The residency row of `(op, level)`.
+    fn row(&self, op: Operand, level: usize) -> LevelLowering;
+    /// Distinct words of `op` the MAC array touches per cycle.
+    fn words_per_cycle(&self, op: Operand) -> u64;
 }
 
-/// The single DTL construction body, shared between the generic path
-/// (live hierarchy lookups) and the surrogate's folded tables: every
-/// architecture constant arrives through `slots`, so identical slot
-/// values produce bit-identical DTLs.
+/// Step 1 proper — the single DTL construction body. It reads the
+/// residency rows through `rows` and every architecture constant through
+/// `slots`, and writes the DTL list into `out` in canonical order. The
+/// generic path (lowered tables, live hierarchy lookups), the surrogate
+/// (lowered tables, folded slots) and the batched kernel (one SoA lane,
+/// folded slots) all run through here, so identical rows and slot values
+/// produce bit-identical DTLs.
 pub(crate) fn build_dtls_with(
     layer: &ulm_workload::Layer,
-    lw: &mut crate::LoweredLayer,
+    opts: DtlOptions,
+    rows: &impl LevelRows,
     slots: &impl ArchSlots,
+    out: &mut Vec<Dtl>,
 ) {
-    let opts = lw.options();
-
-    // The tables are read through an immutable copy of the per-level rows
-    // while DTLs are appended; rows are small `Copy` structs.
-    let mut out = std::mem::take(lw.dtls_mut());
     out.clear();
-
     for op in Operand::all() {
         let op_bits = layer.precision().bits(op);
 
         // Inter-memory links: one per adjacent level pair, stopping at
         // the pin (KV-cache residents and fused intermediates never touch
         // the interfaces above it, so no link exists to price).
-        for level in 0..lw.active_interfaces(op) {
-            let row = *lw.level(op, level);
+        for level in 0..rows.active_interfaces(op) {
+            let row = rows.row(op, level);
             let period = row.period;
             let z = row.z;
             let words = row.words;
@@ -399,8 +403,8 @@ pub(crate) fn build_dtls_with(
         // feed rate counts op-relevant unroll factors only (the lowering
         // pass precomputed that product).
         if opts.compute_links {
-            let words_per_cycle = lw.words_per_cycle(op);
-            let row = *lw.level(op, 0);
+            let words_per_cycle = rows.words_per_cycle(op);
+            let row = rows.row(op, 0);
             let data_bits = words_per_cycle * op_bits * row.period;
             let kind = match op {
                 Operand::W | Operand::I => DtlKind::ComputeFeed,
@@ -421,13 +425,11 @@ pub(crate) fn build_dtls_with(
             ));
         }
     }
-
-    *lw.dtls_mut() = out;
 }
 
 /// Refreshes the bandwidth-dependent columns of an existing DTL list in
-/// place: `RealBW` (re-read from the architecture's ports with the same
-/// lookups as [`build_dtls_lowered`]), `X_REAL = data_bits / RealBW`
+/// place: `RealBW` (re-read from the architecture's ports the build
+/// recorded as the link's endpoints), `X_REAL = data_bits / RealBW`
 /// and `SS_u = (X_REAL − X_REQ) × z_stall` (the same arithmetic as the
 /// full build, so the floats come out bit-identical). Everything else —
 /// periods, windows, `ReqBW_u`, endpoints — is bandwidth-independent
@@ -438,8 +440,7 @@ pub(crate) fn build_dtls_with(
 /// [`rebuild_dirty`](crate::LoweredLayer::rebuild_dirty) precondition).
 pub(crate) fn refresh_bandwidth(view: &MappedLayer<'_>, lw: &mut crate::LoweredLayer) {
     let h = view.arch().hierarchy();
-    let mut dtls = std::mem::take(lw.dtls_mut());
-    for d in &mut dtls {
+    for d in lw.dtls_mut() {
         // The endpoints recorded at build time name exactly the ports the
         // link occupies, so `RealBW` is the narrower of their current
         // bandwidths — the same `u64` min the full build takes through
@@ -454,7 +455,6 @@ pub(crate) fn refresh_bandwidth(view: &MappedLayer<'_>, lw: &mut crate::LoweredL
         d.x_real = d.data_bits as f64 / real_bw;
         d.ss_u = (d.x_real - d.x_req) * d.z_stall as f64;
     }
-    *lw.dtls_mut() = dtls;
 }
 
 #[cfg(test)]

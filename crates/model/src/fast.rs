@@ -11,9 +11,10 @@
 //! construction — they come out of one code path, not two kept in sync.
 
 use crate::delta::{InputDelta, RebuildStats};
+use crate::dtl::Dtl;
 use crate::lower::LoweredLayer;
 use crate::phases;
-use crate::stall::StallScratch;
+use crate::stall::{Reuse, StallScratch};
 use crate::LatencyModel;
 use ulm_arch::Architecture;
 use ulm_mapping::MappedLayer;
@@ -125,32 +126,16 @@ impl LatencyModel {
         let stats = scratch
             .lowered
             .rebuild_dirty(view, self.dtl_options(), delta);
-        let opts = self.options();
-        let ss_overall = if opts.bw_aware {
-            let (lowered, stall) = scratch.parts();
-            let recombined = if stats.was_full_rebuild() {
-                None
-            } else {
-                stall.recombine_and_integrate(
-                    view.arch(),
-                    lowered.dtls(),
-                    opts.eq2_oversubscription_bound,
-                )
-            };
-            let raw = match recombined {
-                Some(v) => v,
-                None => stall.combine_and_integrate(
-                    view.arch(),
-                    lowered.dtls(),
-                    opts.union,
-                    opts.eq2_oversubscription_bound,
-                ),
-            };
-            raw.max(0.0)
+        // Past a partial rebuild only bandwidth columns moved, so the
+        // windows and their per-port unions still hold.
+        let reuse = if stats.was_full_rebuild() {
+            Reuse::Nothing
         } else {
-            0.0
+            Reuse::Unions
         };
-        (scratch.lowered.totals(ss_overall), stats)
+        let (lowered, stall) = scratch.parts();
+        let ss_overall = self.ss_overall(view.arch(), lowered.dtls(), stall, reuse, false);
+        (lowered.totals(ss_overall), stats)
     }
 
     /// [`evaluate_fast`](Self::evaluate_fast) over an already-lowered
@@ -166,34 +151,49 @@ impl LatencyModel {
 
     /// Steps 2–3 and the phase composition — THE shared core.
     ///
-    /// `force_combine` runs the port analysis even for bandwidth-unaware
-    /// models so the report path can surface port/memory diagnostics;
-    /// `ss_overall` is still forced to zero in that case, exactly as the
-    /// unaware model defines it.
+    /// `diagnose` runs the port analysis even for bandwidth-unaware
+    /// models so the report path can surface port/memory diagnostics.
     pub(crate) fn core(
         &self,
         arch: &Architecture,
         lowered: &LoweredLayer,
         stall: &mut StallScratch,
-        force_combine: bool,
+        diagnose: bool,
     ) -> FastLatency {
+        let ss_overall = self.ss_overall(arch, lowered.dtls(), stall, Reuse::Nothing, diagnose);
+        lowered.totals(ss_overall)
+    }
+
+    /// `SS_overall` of one DTL list: Step 2 under the `reuse` policy,
+    /// Step 3, and the clamp at zero — the one place every evaluation
+    /// path (full, delta, surrogate, batched) turns DTLs into a stall.
+    /// A bandwidth-unaware model's stall is zero by definition; it skips
+    /// Step 2 unless `diagnose` asks for the port and memory numbers a
+    /// report shows.
+    pub(crate) fn ss_overall(
+        &self,
+        arch: &Architecture,
+        dtls: &[Dtl],
+        stall: &mut StallScratch,
+        reuse: Reuse,
+        diagnose: bool,
+    ) -> f64 {
         let opts = self.options();
-        let ss_overall = if opts.bw_aware || force_combine {
-            let raw = stall.combine_and_integrate(
-                arch,
-                lowered.dtls(),
-                opts.union,
-                opts.eq2_oversubscription_bound,
-            );
-            if opts.bw_aware {
-                raw.max(0.0)
-            } else {
-                0.0
-            }
+        if !(opts.bw_aware || diagnose) {
+            return 0.0;
+        }
+        let raw = stall.combine(
+            arch,
+            dtls,
+            opts.union,
+            opts.eq2_oversubscription_bound,
+            reuse,
+        );
+        if opts.bw_aware {
+            raw.max(0.0)
         } else {
             0.0
-        };
-        lowered.totals(ss_overall)
+        }
     }
 
     /// An exact, allocation-free lower bound on

@@ -19,8 +19,9 @@
 //!    per-link stall/slack `SS_u` (Fig. 3).
 //! 2. **Combine** ([`stall`]): per shared physical port, combine windows
 //!    and stalls with Eq. (1)/(2); per memory module, take the max.
-//! 3. **Integrate** ([`stall::integrate`]): combine across memory modules
-//!    per the architecture's concurrency policy and clamp at zero.
+//! 3. **Integrate** ([`StallScratch::combine_and_integrate`], which runs
+//!    Steps 2 and 3 together): combine across memory modules per the
+//!    architecture's concurrency policy and clamp at zero.
 //!
 //! A bandwidth-**unaware** baseline (the idealized model the paper argues
 //! against) is available through [`LatencyModel::bw_unaware`]: it keeps
@@ -73,7 +74,7 @@ pub use fast::{FastLatency, ModelScratch};
 pub use lower::{kv_active_interfaces, LevelLowering, LoweredLayer, ResidencyPins};
 pub use report::{BandwidthFix, DtlReport, LatencyReport, MemReport, PortReport, Scenario};
 pub use roofline::{roofline, roofline_bound, Roof, Roofline};
-pub use stall::{MemStall, PortGroup, PortGroupCore, StallScratch};
+pub use stall::{MemStall, PortGroupCore, StallScratch};
 pub use surrogate::{MappingShape, SpecializedModel, SurrogateError, SurrogateStats};
 pub use whatif::{apply_overrides, parse_override, KnobError, KnobOverride, KnobValue};
 

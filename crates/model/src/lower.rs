@@ -31,9 +31,10 @@
 //! [`ModelScratch`](crate::ModelScratch)).
 
 use crate::delta::{InputDelta, RebuildStats, Stage};
-use crate::dtl::{self, Dtl, DtlOptions};
+use crate::dtl::{self, Dtl, DtlOptions, LevelRows};
 use crate::fast::FastLatency;
 use crate::phases;
+use crate::slots::{ArchSlots, LiveSlots};
 use ulm_mapping::MappedLayer;
 use ulm_workload::{Layer, Operand, Relevance};
 
@@ -84,8 +85,9 @@ pub struct LevelLowering {
     /// level. For outputs this means blocks crossing the interface above
     /// are final (fully accumulated), not partial sums.
     pub final_above: bool,
-    /// Range into the flat loops-above arena.
-    loops: (u32, u32),
+    /// Range into the flat loops-above arena (empty for a row that is
+    /// not part of a [`LoweredLayer`]).
+    pub(crate) loops: (u32, u32),
 }
 
 /// The build-once evaluation IR shared by the latency model (slow and
@@ -157,7 +159,7 @@ impl LoweredLayer {
         self.stage_residency(view);
         self.stage_feed_rates(view);
         self.stage_phases(view);
-        self.stage_dtl_graph(view);
+        self.stage_dtl_graph(view.layer(), &LiveSlots::new(view.arch().hierarchy()));
     }
 
     /// [`Stage::Residency`]: the per-`(operand, level)` tables, the
@@ -230,9 +232,12 @@ impl LoweredLayer {
     }
 
     /// [`Stage::DtlGraph`]: Step 1 proper, read off the tables the
-    /// earlier stages built.
-    fn stage_dtl_graph(&mut self, view: &MappedLayer<'_>) {
-        dtl::build_dtls_lowered(view, self);
+    /// earlier stages built, with every architecture constant answered
+    /// by `slots`.
+    fn stage_dtl_graph(&mut self, layer: &Layer, slots: &impl ArchSlots) {
+        let mut dtls = std::mem::take(&mut self.dtls);
+        dtl::build_dtls_with(layer, self.opts, &*self, slots, &mut dtls);
+        self.dtls = dtls;
     }
 
     /// Full rebuild with every architecture constant answered by `slots`
@@ -247,7 +252,7 @@ impl LoweredLayer {
         &mut self,
         view: &MappedLayer<'_>,
         opts: DtlOptions,
-        slots: &impl crate::slots::ArchSlots,
+        slots: &impl ArchSlots,
     ) {
         self.pins = [None; 3];
         self.opts = opts;
@@ -255,7 +260,7 @@ impl LoweredLayer {
         self.stage_feed_rates(view);
         self.preload = phases::preload_cycles_with(view.layer(), self, slots);
         self.offload = phases::offload_cycles_with(view.layer(), self, slots);
-        dtl::build_dtls_with(view.layer(), self, slots);
+        self.stage_dtl_graph(view.layer(), slots);
     }
 
     /// Recomputes only the stages invalidated by `delta`, bit-identical
@@ -418,6 +423,20 @@ impl LoweredLayer {
             self.cc_spatial,
             ss_overall,
         )
+    }
+}
+
+impl LevelRows for LoweredLayer {
+    fn active_interfaces(&self, op: Operand) -> usize {
+        self.active_interfaces(op)
+    }
+
+    fn row(&self, op: Operand, level: usize) -> LevelLowering {
+        *self.level(op, level)
+    }
+
+    fn words_per_cycle(&self, op: Operand) -> u64 {
+        self.words_per_cycle(op)
     }
 }
 

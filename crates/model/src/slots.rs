@@ -9,8 +9,9 @@
 //!
 //! * [`LiveSlots`] answers by the same chain-and-port lookups the
 //!   pipeline always did — the generic path, bit-identical to before;
-//! * the surrogate's folded table (built *through* `LiveSlots`, so it
-//!   holds the very same numbers) answers by array indexing.
+//! * the folded table (built *through* `LiveSlots`, so it holds the very
+//!   same numbers) answers by array indexing — the surrogate and the
+//!   batched ordering kernel both read it.
 //!
 //! Because both implementations feed identical values into one shared
 //! arithmetic body, the partial evaluation is bit-identical to the
@@ -148,7 +149,7 @@ impl ArchSlots for LiveSlots<'_> {
 }
 
 /// [`ArchSlots`] folded into flat per-interface tables once per
-/// specialization: every entry is captured through [`LiveSlots`], so the
+/// specialization or batched kernel: every entry is captured through [`LiveSlots`], so the
 /// values are the generic path's values and queries reduce to indexing.
 #[derive(Debug, Default)]
 pub(crate) struct FoldedSlots {

@@ -3,20 +3,26 @@
 //! overall temporal stall `SS_overall`.
 
 use crate::dtl::Dtl;
-use std::collections::BTreeMap;
 use ulm_arch::{Architecture, MemoryId, PortId, StallIntegration};
 use ulm_periodic::PeriodicWindow;
 use ulm_periodic::{union_measure_scratch, UnionOptions, UnionScratch};
 
-/// Step-2 result for one physical memory port.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortGroup {
+/// Step-2 result for one memory module: the maximum over its ports.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MemStall {
+    /// The memory.
+    pub mem: MemoryId,
+    /// `max` of the memory's port `SS_comb` values, cycles.
+    pub ss: f64,
+}
+
+/// The Step-2 numbers of one port group.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PortGroupCore {
     /// The memory owning the port.
     pub mem: MemoryId,
     /// The port index within the memory.
     pub port: PortId,
-    /// Indices (into the DTL list) of the links sharing this port.
-    pub dtl_indices: Vec<usize>,
     /// `ReqBW_comb`: summed required bandwidth on the port, bits/cycle.
     pub req_bw_comb: f64,
     /// `MUW_comb`: measure of the union of the links' updating windows.
@@ -32,34 +38,20 @@ pub struct PortGroup {
     pub min_stall_free_bw: f64,
 }
 
-/// Step-2 result for one memory module: the maximum over its ports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemStall {
-    /// The memory.
-    pub mem: MemoryId,
-    /// `max` of the memory's port `SS_comb` values, cycles.
-    pub ss: f64,
-}
-
-/// The Step-2 numbers of one port group, without the member index list —
-/// the `Copy` core shared by [`combine_ports_with`] and the mapper's
-/// allocation-free fast path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PortGroupCore {
-    /// The memory owning the port.
-    pub mem: MemoryId,
-    /// The port index within the memory.
-    pub port: PortId,
-    /// `ReqBW_comb`: summed required bandwidth on the port, bits/cycle.
-    pub req_bw_comb: f64,
-    /// `MUW_comb`: measure of the union of the links' updating windows.
-    pub muw_comb: f64,
-    /// Whether `MUW_comb` was computed exactly.
-    pub muw_exact: bool,
-    /// `SS_comb`: combined stall (+) or slack (−) of the port, cycles.
-    pub ss_comb: f64,
-    /// Minimum stall-free physical bandwidth (see [`PortGroup`]).
-    pub min_stall_free_bw: f64,
+/// What a Step-2 call may take over from the previous call on the same
+/// [`StallScratch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reuse {
+    /// Recompute everything.
+    Nothing,
+    /// The sorted port grouping (the endpoint keys), when it still
+    /// describes the DTL list. Windows and every group scalar are
+    /// recomputed: the surrogate's workload-dim queries move them.
+    Grouping,
+    /// The grouping plus each port's window union (`MUW_comb`), the
+    /// expensive half of Eq. (1)/(2). Only the caller knows the windows
+    /// did not move — a bandwidth-only delta never moves them.
+    Unions,
 }
 
 /// Reusable buffers for the allocation-free Step-2/3 pipeline.
@@ -67,7 +59,10 @@ pub struct PortGroupCore {
 /// After [`combine_and_integrate`](Self::combine_and_integrate) the
 /// scratch retains the per-port groups and per-memory stalls it computed,
 /// so report assembly can read the very numbers that produced
-/// `SS_overall` instead of re-running the pipeline.
+/// `SS_overall` instead of re-running the pipeline. `groups[g]` always
+/// belongs to the `g`-th `(memory, port)` run of the sorted `keys`: every
+/// call rewrites both together, which is what lets a later call reuse
+/// them.
 #[derive(Debug, Default)]
 pub struct StallScratch {
     keys: Vec<(MemoryId, PortId, usize)>,
@@ -76,6 +71,7 @@ pub struct StallScratch {
     groups: Vec<PortGroupCore>,
     mem_stalls: Vec<MemStall>,
     grouped: Vec<MemoryId>,
+    reused_grouping: bool,
 }
 
 impl StallScratch {
@@ -91,62 +87,144 @@ impl StallScratch {
     pub fn memory_stalls(&self) -> &[MemStall] {
         &self.mem_stalls
     }
+
+    /// Whether the most recent Step 2 took its port grouping from the
+    /// call before it.
+    pub(crate) fn reused_grouping(&self) -> bool {
+        self.reused_grouping
+    }
+
+    /// Steps 2 and 3 without allocating: per-port Eq. (1)/(2), the
+    /// per-memory max, and the cross-memory integration policy, all on
+    /// internal buffers. Returns `SS_overall` before the clamp at zero.
+    ///
+    /// Equation (1) — no link on a port stalls by itself (`SS_u ≤ 0` for
+    /// all): the port stalls by however much the summed busy time exceeds
+    /// the combined window. Equation (2) — some links already stall:
+    /// their stalls add up and can never be cancelled by other links'
+    /// slack; the remaining links' busy time is checked against the
+    /// window as in Eq. (1).
+    pub fn combine_and_integrate(
+        &mut self,
+        arch: &Architecture,
+        dtls: &[Dtl],
+        union_opts: UnionOptions,
+        oversubscription_bound: bool,
+    ) -> f64 {
+        self.combine(
+            arch,
+            dtls,
+            union_opts,
+            oversubscription_bound,
+            Reuse::Nothing,
+        )
+    }
+
+    /// The one Step-2/3 engine. `reuse` says what may be taken from the
+    /// previous call; the cached grouping is taken only when its keys are
+    /// still exactly the endpoint multiset of `dtls`, otherwise this is
+    /// a full combine. Every policy runs the same per-group arithmetic
+    /// over the same key order, so results and the retained
+    /// [`port_groups`](Self::port_groups) /
+    /// [`memory_stalls`](Self::memory_stalls) are bit-identical to a full
+    /// combine whenever the policy's precondition holds.
+    pub(crate) fn combine(
+        &mut self,
+        arch: &Architecture,
+        dtls: &[Dtl],
+        union_opts: UnionOptions,
+        oversubscription_bound: bool,
+        reuse: Reuse,
+    ) -> f64 {
+        let Self {
+            keys,
+            windows,
+            union,
+            groups,
+            mem_stalls,
+            grouped,
+            reused_grouping,
+        } = self;
+        *reused_grouping = reuse != Reuse::Nothing && keys_describe(keys, dtls);
+        if !*reused_grouping {
+            keys.clear();
+            for (i, d) in dtls.iter().enumerate() {
+                for ep in &d.endpoints {
+                    keys.push((ep.mem, ep.port, i));
+                }
+            }
+            // Sorting on (mem, port, index) yields the groups in
+            // ascending (mem, port) order, members in DTL order.
+            keys.sort_unstable();
+        }
+        let reuse_unions = *reused_grouping && reuse == Reuse::Unions;
+        if !reuse_unions {
+            groups.clear();
+        }
+        mem_stalls.clear();
+        let mut start = 0;
+        let mut gi = 0;
+        while start < keys.len() {
+            let (mem, port, _) = keys[start];
+            let mut end = start + 1;
+            while end < keys.len() && keys[end].0 == mem && keys[end].1 == port {
+                end += 1;
+            }
+            let group = &keys[start..end];
+            let (muw_comb, muw_exact) = if reuse_unions {
+                (groups[gi].muw_comb, groups[gi].muw_exact)
+            } else {
+                windows.clear();
+                windows.extend(group.iter().map(|&(_, _, i)| dtls[i].window));
+                let muw = union_measure_scratch(windows, union_opts, union);
+                (muw.value(), muw.is_exact())
+            };
+            let core = group_scalars(
+                dtls,
+                group,
+                mem,
+                port,
+                muw_comb,
+                muw_exact,
+                oversubscription_bound,
+            );
+            if reuse_unions {
+                groups[gi] = core;
+            } else {
+                groups.push(core);
+            }
+            // "Combine SS @same served mem" (Fig. 2b): the max over the
+            // memory's ports.
+            match mem_stalls.last_mut() {
+                Some(last) if last.mem == mem => last.ss = last.ss.max(core.ss_comb),
+                _ => mem_stalls.push(MemStall {
+                    mem,
+                    ss: core.ss_comb,
+                }),
+            }
+            gi += 1;
+            start = end;
+        }
+        integrate(arch, mem_stalls, grouped)
+    }
 }
 
-/// Groups DTLs by `(memory, port)` and applies Eq. (1)/(2), calling `f`
-/// once per group in ascending `(memory, port)` order with the combined
-/// numbers and the member entries (`(mem, port, dtl index)`, ascending by
-/// index). Both `combine_ports_with` and the fast path run through here,
-/// so they produce bit-identical floating-point results by construction.
-fn for_each_port_group(
-    dtls: &[Dtl],
-    union_opts: UnionOptions,
-    oversubscription_bound: bool,
-    keys: &mut Vec<(MemoryId, PortId, usize)>,
-    windows: &mut Vec<PeriodicWindow>,
-    union: &mut UnionScratch,
-    mut f: impl FnMut(PortGroupCore, &[(MemoryId, PortId, usize)]),
-) {
-    keys.clear();
-    for (i, d) in dtls.iter().enumerate() {
-        for ep in &d.endpoints {
-            keys.push((ep.mem, ep.port, i));
-        }
-    }
-    // Sorting on (mem, port, index) reproduces both the BTreeMap group
-    // order and the per-group insertion order of the original grouping.
-    keys.sort_unstable();
-    let mut start = 0;
-    while start < keys.len() {
-        let (mem, port, _) = keys[start];
-        let mut end = start + 1;
-        while end < keys.len() && keys[end].0 == mem && keys[end].1 == port {
-            end += 1;
-        }
-        let group = &keys[start..end];
-        let member = |&(_, _, i): &(MemoryId, PortId, usize)| &dtls[i];
-        windows.clear();
-        windows.extend(group.iter().map(|k| member(k).window));
-        let muw = union_measure_scratch(windows, union_opts, union);
-        let core = group_scalars(
-            dtls,
-            group,
-            mem,
-            port,
-            muw.value(),
-            muw.is_exact(),
-            oversubscription_bound,
-        );
-        f(core, group);
-        start = end;
-    }
+/// True when the cached sorted `keys` are exactly the endpoint multiset
+/// of `dtls`: the same total count, every entry present on its link.
+fn keys_describe(keys: &[(MemoryId, PortId, usize)], dtls: &[Dtl]) -> bool {
+    let total: usize = dtls.iter().map(|d| d.endpoints.len()).sum();
+    keys.len() == total
+        && keys.iter().all(|&(mem, port, i)| {
+            dtls.get(i)
+                .is_some_and(|d| d.endpoints.iter().any(|e| e.mem == mem && e.port == port))
+        })
 }
 
 /// The Eq. (1)/(2) scalar math of one port group, given its combined
 /// window measure. The window union (`MUW_comb`) is the expensive,
 /// bandwidth-*independent* half of Step 2; this function is the cheap,
-/// bandwidth-*dependent* half — the full combine and the delta
-/// recombine both run it, so their floats agree bit for bit.
+/// bandwidth-*dependent* half — every reuse policy runs it, so their
+/// floats agree bit for bit.
 fn group_scalars(
     dtls: &[Dtl],
     group: &[(MemoryId, PortId, usize)],
@@ -225,305 +303,14 @@ fn ss_comb_from(
     }
 }
 
-impl StallScratch {
-    /// Steps 2 and 3 without allocating: per-port Eq. (1)/(2), the
-    /// per-memory max, and the cross-memory integration policy, all on
-    /// internal buffers. Equivalent (bit for bit) to
-    /// `integrate(arch, &combine_memories(&combine_ports_with(..)))`.
-    pub fn combine_and_integrate(
-        &mut self,
-        arch: &Architecture,
-        dtls: &[Dtl],
-        union_opts: UnionOptions,
-        oversubscription_bound: bool,
-    ) -> f64 {
-        let Self {
-            keys,
-            windows,
-            union,
-            groups,
-            mem_stalls,
-            grouped,
-        } = self;
-        groups.clear();
-        mem_stalls.clear();
-        for_each_port_group(
-            dtls,
-            union_opts,
-            oversubscription_bound,
-            keys,
-            windows,
-            union,
-            |core, _| {
-                groups.push(core);
-                match mem_stalls.last_mut() {
-                    Some(last) if last.mem == core.mem => last.ss = last.ss.max(core.ss_comb),
-                    _ => mem_stalls.push(MemStall {
-                        mem: core.mem,
-                        ss: core.ss_comb,
-                    }),
-                }
-            },
-        );
-        integrate_with(arch, mem_stalls, grouped)
-    }
-
-    /// Bandwidth-delta Steps 2–3: reuse everything the last
-    /// [`combine_and_integrate`](Self::combine_and_integrate) computed
-    /// that bandwidth cannot reach — the sorted port grouping itself, the
-    /// per-port window unions (`MUW_comb`), `ReqBW_comb` and the
-    /// stall-free bandwidth — and recompute only the Eq. (1)/(2) stall
-    /// accumulators over the refreshed DTL columns.
-    ///
-    /// The cached grouping must still describe `dtls`; this is verified
-    /// key by key against the current endpoint lists, and on any mismatch
-    /// (or when nothing is cached) the call returns `None` so the caller
-    /// falls back to the full combine. On success the retained
-    /// [`port_groups`](Self::port_groups) and
-    /// [`memory_stalls`](Self::memory_stalls) are updated exactly as a
-    /// full combine would have left them.
-    pub fn recombine_and_integrate(
-        &mut self,
-        arch: &Architecture,
-        dtls: &[Dtl],
-        oversubscription_bound: bool,
-    ) -> Option<f64> {
-        let Self {
-            keys,
-            windows: _,
-            union: _,
-            groups,
-            mem_stalls,
-            grouped,
-        } = self;
-        if groups.is_empty() && !dtls.is_empty() {
-            return None;
-        }
-        // The cached sorted keys are reusable iff they are exactly the
-        // endpoint multiset of `dtls`: same total count, every entry
-        // present on its link. (Bandwidth refreshes never move endpoints,
-        // so in the delta pipeline this always holds.)
-        let total: usize = dtls.iter().map(|d| d.endpoints.len()).sum();
-        if keys.len() != total {
-            return None;
-        }
-        let covers = |&(mem, port, i): &(MemoryId, PortId, usize)| {
-            dtls.get(i)
-                .is_some_and(|d| d.endpoints.iter().any(|e| e.mem == mem && e.port == port))
-        };
-        if !keys.iter().all(covers) {
-            return None;
-        }
-        mem_stalls.clear();
-        let mut gi = 0;
-        let mut start = 0;
-        while start < keys.len() {
-            let (mem, port, _) = keys[start];
-            let mut end = start + 1;
-            while end < keys.len() && keys[end].0 == mem && keys[end].1 == port {
-                end += 1;
-            }
-            let cached = groups.get_mut(gi)?;
-            if cached.mem != mem || cached.port != port {
-                return None;
-            }
-            // Same accumulator order as `group_scalars`, restricted to
-            // the bandwidth-dependent quantities.
-            let (mut sum_pos, mut all_busy, mut neg_busy) = (0.0f64, 0.0f64, 0.0f64);
-            for &(_, _, i) in &keys[start..end] {
-                let d = &dtls[i];
-                let busy = d.busy();
-                all_busy += busy;
-                if d.ss_u <= 0.0 {
-                    neg_busy += busy;
-                } else {
-                    sum_pos += d.ss_u;
-                }
-            }
-            cached.ss_comb = ss_comb_from(
-                sum_pos,
-                all_busy,
-                neg_busy,
-                cached.muw_comb,
-                oversubscription_bound,
-            );
-            match mem_stalls.last_mut() {
-                Some(last) if last.mem == cached.mem => last.ss = last.ss.max(cached.ss_comb),
-                _ => mem_stalls.push(MemStall {
-                    mem: cached.mem,
-                    ss: cached.ss_comb,
-                }),
-            }
-            gi += 1;
-            start = end;
-        }
-        if gi != groups.len() {
-            return None;
-        }
-        Some(integrate_with(arch, mem_stalls, grouped))
-    }
-
-    /// Workload-delta Steps 2–3 for the surrogate: reuse only the sorted
-    /// port grouping (the endpoint keys) from the last
-    /// [`combine_and_integrate`](Self::combine_and_integrate) and
-    /// recompute everything else — windows, window unions and all group
-    /// scalars change with the workload dims, unlike the bandwidth-delta
-    /// case [`recombine_and_integrate`](Self::recombine_and_integrate)
-    /// handles. What is saved is the per-endpoint key build and its sort.
-    ///
-    /// The cached keys must still be exactly the endpoint multiset of
-    /// `dtls`; the same per-key check as the bandwidth recombine guards
-    /// this, and any mismatch (e.g. a dim change that adds or removes a
-    /// partial-sum link) returns `None` so the caller falls back to the
-    /// full combine. On success the result and the retained
-    /// [`port_groups`](Self::port_groups) /
-    /// [`memory_stalls`](Self::memory_stalls) are bit-identical to a full
-    /// combine: the group scan below is the post-sort half of the full
-    /// path over the same keys.
-    pub fn combine_with_cached_grouping(
-        &mut self,
-        arch: &Architecture,
-        dtls: &[Dtl],
-        union_opts: UnionOptions,
-        oversubscription_bound: bool,
-    ) -> Option<f64> {
-        let Self {
-            keys,
-            windows,
-            union,
-            groups,
-            mem_stalls,
-            grouped,
-        } = self;
-        if keys.is_empty() && !dtls.is_empty() {
-            return None;
-        }
-        let total: usize = dtls.iter().map(|d| d.endpoints.len()).sum();
-        if keys.len() != total {
-            return None;
-        }
-        let covers = |&(mem, port, i): &(MemoryId, PortId, usize)| {
-            dtls.get(i)
-                .is_some_and(|d| d.endpoints.iter().any(|e| e.mem == mem && e.port == port))
-        };
-        if !keys.iter().all(covers) {
-            return None;
-        }
-        groups.clear();
-        mem_stalls.clear();
-        let mut start = 0;
-        while start < keys.len() {
-            let (mem, port, _) = keys[start];
-            let mut end = start + 1;
-            while end < keys.len() && keys[end].0 == mem && keys[end].1 == port {
-                end += 1;
-            }
-            let group = &keys[start..end];
-            windows.clear();
-            windows.extend(group.iter().map(|&(_, _, i)| dtls[i].window));
-            let muw = union_measure_scratch(windows, union_opts, union);
-            let core = group_scalars(
-                dtls,
-                group,
-                mem,
-                port,
-                muw.value(),
-                muw.is_exact(),
-                oversubscription_bound,
-            );
-            groups.push(core);
-            match mem_stalls.last_mut() {
-                Some(last) if last.mem == core.mem => last.ss = last.ss.max(core.ss_comb),
-                _ => mem_stalls.push(MemStall {
-                    mem: core.mem,
-                    ss: core.ss_comb,
-                }),
-            }
-            start = end;
-        }
-        Some(integrate_with(arch, mem_stalls, grouped))
-    }
-}
-
-/// Groups DTLs by the physical ports they occupy and applies Eq. (1)/(2).
-///
-/// Equation (1) — no link stalls by itself (`SS_u ≤ 0` for all): the port
-/// stalls by however much the summed busy time exceeds the combined
-/// window. Equation (2) — some links already stall: their stalls add up
-/// and can never be cancelled by other links' slack; the remaining links'
-/// busy time is checked against the window as in Eq. (1).
-pub fn combine_ports(dtls: &[Dtl], union_opts: UnionOptions) -> Vec<PortGroup> {
-    combine_ports_with(dtls, union_opts, true)
-}
-
-/// [`combine_ports`] with the Eq. (2) oversubscription refinement
-/// switchable (`false` reproduces the paper's literal Eq. (2); see the
-/// ablation bench).
-pub fn combine_ports_with(
-    dtls: &[Dtl],
-    union_opts: UnionOptions,
-    oversubscription_bound: bool,
-) -> Vec<PortGroup> {
-    let mut out = Vec::new();
-    let mut keys = Vec::new();
-    let mut windows = Vec::new();
-    let mut union = UnionScratch::default();
-    for_each_port_group(
-        dtls,
-        union_opts,
-        oversubscription_bound,
-        &mut keys,
-        &mut windows,
-        &mut union,
-        |core, group| {
-            out.push(PortGroup {
-                mem: core.mem,
-                port: core.port,
-                dtl_indices: group.iter().map(|&(_, _, i)| i).collect(),
-                req_bw_comb: core.req_bw_comb,
-                muw_comb: core.muw_comb,
-                muw_exact: core.muw_exact,
-                ss_comb: core.ss_comb,
-                min_stall_free_bw: core.min_stall_free_bw,
-            });
-        },
-    );
-    out
-}
-
-/// Per memory module, takes the maximum `SS_comb` over its ports
-/// ("Combine SS @same served mem", Fig. 2b).
-pub fn combine_memories(groups: &[PortGroup]) -> Vec<MemStall> {
-    let mut by_mem: BTreeMap<MemoryId, f64> = BTreeMap::new();
-    for g in groups {
-        by_mem
-            .entry(g.mem)
-            .and_modify(|s| *s = s.max(g.ss_comb))
-            .or_insert(g.ss_comb);
-    }
-    by_mem
-        .into_iter()
-        .map(|(mem, ss)| MemStall { mem, ss })
-        .collect()
-}
-
 /// Step 3: integrates per-memory stalls into the overall temporal stall
-/// (before the final clamp at zero).
+/// (before the final clamp at zero), using `grouped` as the Groups
+/// policy's bookkeeping buffer.
 ///
 /// Concurrent memories hide each other's stalls (`max`); sequential ones
 /// accumulate (`sum` of the positive parts — one memory's slack cannot
 /// run another memory's transfers).
-pub fn integrate(arch: &Architecture, mem_stalls: &[MemStall]) -> f64 {
-    integrate_with(arch, mem_stalls, &mut Vec::new())
-}
-
-/// [`integrate`] reusing a caller-provided buffer for the Groups policy's
-/// grouped-memory bookkeeping (the policy's only allocation).
-pub fn integrate_with(
-    arch: &Architecture,
-    mem_stalls: &[MemStall],
-    grouped: &mut Vec<MemoryId>,
-) -> f64 {
+fn integrate(arch: &Architecture, mem_stalls: &[MemStall], grouped: &mut Vec<MemoryId>) -> f64 {
     match arch.stall_integration() {
         StallIntegration::Concurrent => {
             if mem_stalls.is_empty() {
@@ -562,9 +349,21 @@ pub fn integrate_with(
 mod tests {
     use super::*;
     use crate::dtl::{DtlKind, Endpoint};
-    use ulm_arch::PortUse;
+    use ulm_arch::{presets, PortUse};
     use ulm_periodic::PeriodicWindow;
     use ulm_workload::Operand;
+
+    /// Runs Steps 2–3 over `dtls` and returns the retained scratch.
+    fn combine(dtls: &[Dtl]) -> StallScratch {
+        let mut scratch = StallScratch::default();
+        scratch.combine_and_integrate(
+            &presets::toy_chip().arch,
+            dtls,
+            UnionOptions::default(),
+            true,
+        );
+        scratch
+    }
 
     /// Hand-built DTL with the given stall characteristics on port
     /// (mem 0, port `port`).
@@ -598,7 +397,8 @@ mod tests {
     #[test]
     fn single_slack_dtl_passes_through() {
         let d = dtl(0, 4, 8, 4.0, 1.0); // busy 8 of 32 -> slack -24
-        let groups = combine_ports(&[d], UnionOptions::default());
+        let scratch = combine(&[d]);
+        let groups = scratch.port_groups();
         assert_eq!(groups.len(), 1);
         assert!((groups[0].ss_comb - (-24.0)).abs() < 1e-9);
     }
@@ -609,7 +409,8 @@ mod tests {
         // individually slack, together 1.5x oversubscribed.
         let a = dtl(0, 4, 8, 4.0, 3.0);
         let b = dtl(0, 4, 8, 4.0, 3.0);
-        let groups = combine_ports(&[a, b], UnionOptions::default());
+        let scratch = combine(&[a, b]);
+        let groups = scratch.port_groups();
         // Σ busy = 48, MUW_comb = 32 -> stall 16.
         assert!((groups[0].ss_comb - 16.0).abs() < 1e-9);
     }
@@ -619,7 +420,8 @@ mod tests {
         // One link stalls by itself (+8); the other has huge slack.
         let a = dtl(0, 4, 8, 1.0, 2.0); // trailing window, ss_u = +8
         let b = dtl(0, 4, 8, 4.0, 0.5); // busy 4 only
-        let groups = combine_ports(&[a, b], UnionOptions::default());
+        let scratch = combine(&[a, b]);
+        let groups = scratch.port_groups();
         // Eq (2): 8 + max(0, 4 − 32) = 8. Slack must NOT cancel it.
         assert!((groups[0].ss_comb - 8.0).abs() < 1e-9);
     }
@@ -628,7 +430,8 @@ mod tests {
     fn eq2_adds_residual_oversubscription() {
         let a = dtl(0, 4, 8, 1.0, 2.0); // ss_u = +8, busy 16
         let b = dtl(0, 4, 8, 4.0, 5.0); // busy 40 > window
-        let groups = combine_ports(&[a, b], UnionOptions::default());
+        let scratch = combine(&[a, b]);
+        let groups = scratch.port_groups();
         // Literal Eq. (2) gives 8 + max(0, 40 − 32) = 16, but the port
         // must move 56 busy cycles through a 32-cycle window: the
         // oversubscription bound (56 − 32 = 24) dominates.
@@ -639,7 +442,8 @@ mod tests {
     fn separate_ports_do_not_interact() {
         let a = dtl(0, 4, 8, 4.0, 3.0);
         let b = dtl(1, 4, 8, 4.0, 3.0);
-        let groups = combine_ports(&[a, b], UnionOptions::default());
+        let scratch = combine(&[a, b]);
+        let groups = scratch.port_groups();
         assert_eq!(groups.len(), 2);
         assert!(groups.iter().all(|g| g.ss_comb < 0.0));
     }
@@ -648,8 +452,10 @@ mod tests {
     fn memory_takes_max_over_ports() {
         let a = dtl(0, 4, 8, 4.0, 3.0); // slack
         let b = dtl(1, 4, 8, 1.0, 2.0); // stall +8
-        let groups = combine_ports(&[a, b], UnionOptions::default());
-        let mems = combine_memories(&groups);
+        let scratch = combine(&[a, b]);
+        let groups = scratch.port_groups();
+        assert_eq!(groups.len(), 2);
+        let mems = scratch.memory_stalls();
         assert_eq!(mems.len(), 1);
         assert!((mems[0].ss - 8.0).abs() < 1e-9);
     }
@@ -658,7 +464,33 @@ mod tests {
     fn req_bw_comb_is_summed() {
         let a = dtl(0, 4, 8, 2.0, 1.0);
         let b = dtl(0, 4, 8, 4.0, 1.0);
-        let groups = combine_ports(&[a, b], UnionOptions::default());
+        let scratch = combine(&[a, b]);
+        let groups = scratch.port_groups();
         assert!((groups[0].req_bw_comb - (0.5 + 0.25)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn reuse_falls_back_to_a_full_combine_when_the_grouping_moved() {
+        let arch = presets::toy_chip().arch;
+        let a = dtl(0, 4, 8, 4.0, 3.0);
+        let b = dtl(1, 4, 8, 1.0, 2.0);
+        let want = combine(&[a, b]);
+        for reuse in [Reuse::Grouping, Reuse::Unions] {
+            let mut scratch = combine(&[a]);
+            let run = |s: &mut StallScratch| {
+                s.combine(&arch, &[a, b], UnionOptions::default(), true, reuse)
+            };
+            // One link more than the cached grouping: full combine.
+            let first = run(&mut scratch);
+            assert!(!scratch.reused_grouping());
+            assert_eq!(scratch.port_groups(), want.port_groups());
+            assert_eq!(scratch.memory_stalls(), want.memory_stalls());
+            // The same list again: the cached grouping is taken.
+            let second = run(&mut scratch);
+            assert!(scratch.reused_grouping());
+            assert_eq!(first.to_bits(), second.to_bits());
+            assert_eq!(scratch.port_groups(), want.port_groups());
+            assert_eq!(scratch.memory_stalls(), want.memory_stalls());
+        }
     }
 }

@@ -24,6 +24,7 @@
 //! ([`query_oracle`](SpecializedModel::query_oracle)).
 
 use crate::slots::FoldedSlots;
+use crate::stall::Reuse;
 use crate::{FastLatency, LatencyModel, ModelScratch};
 use std::fmt;
 use ulm_arch::Architecture;
@@ -365,33 +366,15 @@ impl SpecializedModel {
         scratch
             .lowered_mut()
             .rebuild_specialized(&view, model.dtl_options(), &*slots);
-        let opts = *model.options();
-        let ss_overall = if opts.bw_aware {
-            let (lowered, stall) = scratch.parts();
-            let raw = match stall.combine_with_cached_grouping(
-                arch,
-                lowered.dtls(),
-                opts.union,
-                opts.eq2_oversubscription_bound,
-            ) {
-                Some(v) => {
-                    stats.grouping_reused += 1;
-                    v
-                }
-                None => {
-                    stats.grouping_rebuilt += 1;
-                    stall.combine_and_integrate(
-                        arch,
-                        lowered.dtls(),
-                        opts.union,
-                        opts.eq2_oversubscription_bound,
-                    )
-                }
-            };
-            raw.max(0.0)
-        } else {
-            0.0
-        };
+        let (lowered, stall) = scratch.parts();
+        let ss_overall = model.ss_overall(arch, lowered.dtls(), stall, Reuse::Grouping, false);
+        if model.options().bw_aware {
+            if stall.reused_grouping() {
+                stats.grouping_reused += 1;
+            } else {
+                stats.grouping_rebuilt += 1;
+            }
+        }
         stats.queries += 1;
         let out = scratch.lowered().totals(ss_overall);
         if memo.len() < MEMO_CAP {

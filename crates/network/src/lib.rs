@@ -31,13 +31,6 @@
 //! # Ok::<(), ulm_network::NetworkError>(())
 //! ```
 
-pub mod multicore;
-
-pub use multicore::{
-    scaling_sweep, BackingStore, MultiCoreEvaluator, MultiCoreLayerReport, MultiCoreReport,
-    Partition,
-};
-
 use std::error::Error;
 use std::fmt;
 use ulm_arch::Architecture;

@@ -2353,6 +2353,21 @@ mod tests {
     }
 
     #[test]
+    fn huge_batch_lanes_get_a_normal_search_response() {
+        // The lane count sizes the kernel's allocations; an unclamped
+        // four-billion-lane request used to abort the process. Run it on
+        // a fresh service so no cached entry answers in its place.
+        let line = r#"{"kind":"search","id":1,"arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10,"batch_lanes":4000000000}}"#;
+        let huge = parse(&service().handle_line(line).unwrap());
+        assert_eq!(huge.get("ok"), Some(&Value::Bool(true)), "{huge:?}");
+        assert_eq!(huge.get("cached"), Some(&Value::Bool(false)));
+        let default = parse(&service().handle_line(
+            r#"{"kind":"search","id":1,"arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}"#,
+        ).unwrap());
+        assert_eq!(huge.get("latency"), default.get("latency"));
+    }
+
+    #[test]
     fn stats_report_cumulative_search_totals() {
         let svc = service();
         let line = r#"{"kind":"search","arch":"toy","layer":"4x4x8","mapper":{"max_exhaustive":100,"samples":10}}"#;

@@ -24,6 +24,9 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> ulmbench builds (its own workspace, so the root build never compiles it)"
+cargo build --release --offline --manifest-path ulmbench/Cargo.toml
+
 echo "==> cargo test"
 cargo test -q
 

@@ -3,16 +3,41 @@
 //! space and the degenerate single lane — the full [`SearchResult`] is
 //! bit-identical to the scalar (`batch_lanes = 1`) path: same best
 //! mapping, same score bits, same generated/evaluated/pruned/prefix
-//! counters. Random matmul and conv workloads, roofline pruning on and
-//! off.
+//! counters. Random matmul and conv workloads over the built-in presets,
+//! with and without a KV-cache resident weight operand, roofline pruning
+//! on and off.
 
 use proptest::prelude::*;
 use ulm::prelude::*;
 
 const LANE_COUNTS: [usize; 4] = [7, 8, 9, 64];
 
-fn check_layer(layer: &Layer, bw_aware: bool) -> Result<(), TestCaseError> {
-    let chip = ulm::arch::presets::toy_chip();
+/// The presets `tests/surrogate_props.rs` draws from: the toy chip, the
+/// validation chip, the scaled case study, a TPU-like array and the
+/// fusion chip (a shared non-backing buffer under a narrow DRAM).
+fn preset(idx: usize) -> ulm::arch::presets::PresetChip {
+    use ulm::arch::presets;
+    match idx {
+        0 => presets::toy_chip(),
+        1 => presets::validation_chip(),
+        2 => presets::scaled_case_study_chip(16, 128),
+        3 => presets::tpu_like_chip(16),
+        _ => presets::fusion_chip(),
+    }
+}
+
+fn check_layer(
+    layer: Layer,
+    preset_idx: usize,
+    kv: bool,
+    bw_aware: bool,
+) -> Result<(), TestCaseError> {
+    let layer = &if kv {
+        layer.with_kv_cache(Operand::W)
+    } else {
+        layer
+    };
+    let chip = preset(preset_idx);
     let spatial = SpatialUnroll::new(chip.spatial.clone());
     let opts = MapperOptions {
         max_exhaustive: 5_000,
@@ -36,8 +61,10 @@ fn check_layer(layer: &Layer, bw_aware: bool) -> Result<(), TestCaseError> {
                 prop_assert_eq!(
                     &want.best.mapping,
                     &got.best.mapping,
-                    "lanes {}: best mapping diverged",
-                    lanes
+                    "lanes {} on preset {} (kv {}): best mapping diverged",
+                    lanes,
+                    preset_idx,
+                    kv
                 );
                 prop_assert_eq!(
                     want.best.latency.cc_total.to_bits(),
@@ -98,6 +125,8 @@ proptest! {
         b in 1u64..=24,
         k in 1u64..=24,
         c in 1u64..=32,
+        preset_idx in 0usize..5,
+        kv in any::<bool>(),
         bw_aware in any::<bool>(),
     ) {
         let layer = Layer::matmul(
@@ -105,7 +134,7 @@ proptest! {
             b, k, c,
             Precision::int8_acc24(),
         );
-        check_layer(&layer, bw_aware)?;
+        check_layer(layer, preset_idx, kv, bw_aware)?;
     }
 
     /// Conv workloads exercise the non-multiplicative input-halo word
@@ -116,6 +145,8 @@ proptest! {
         c in 1u64..=8,
         oy in 2u64..=6,
         f in 1u64..=3,
+        preset_idx in 0usize..5,
+        kv in any::<bool>(),
         bw_aware in any::<bool>(),
     ) {
         let shape = LayerShape::conv(1, k, c, oy, oy, f, f);
@@ -124,7 +155,7 @@ proptest! {
             shape,
             Precision::int8_acc24(),
         );
-        check_layer(&layer, bw_aware)?;
+        check_layer(layer, preset_idx, kv, bw_aware)?;
     }
 }
 
