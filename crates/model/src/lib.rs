@@ -71,7 +71,7 @@ pub use calibrate::{
 pub use delta::{InputDelta, RebuildStats, Stage};
 pub use dtl::{Dtl, DtlKind, DtlOptions, Endpoint, Endpoints};
 pub use fast::{FastLatency, ModelScratch};
-pub use lower::{kv_active_interfaces, LevelLowering, LoweredLayer, ResidencyPins};
+pub use lower::{kv_active_interfaces, LevelLowering, LoweredLayer, Regions, ResidencyPins};
 pub use report::{BandwidthFix, DtlReport, LatencyReport, MemReport, PortReport, Scenario};
 pub use roofline::{roofline, roofline_bound, Roof, Roofline};
 pub use stall::{MemStall, PortGroupCore, StallScratch};

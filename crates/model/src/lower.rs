@@ -16,8 +16,9 @@
 //!   `Mem_CC`, `Z`, the top irrelevant-run, the exact distinct-content
 //!   transfer count, the distinct-block count, and output finality;
 //! * the loops above the level (a flat `(size, relevant)` arena) together
-//!   with the mixed-radix [`region`](LoweredLayer::region) arithmetic the
-//!   simulator uses to discover which periods move data;
+//!   with the mixed-radix [`region`](LoweredLayer::region) arithmetic and
+//!   its incremental odometer form, [`regions`](LoweredLayer::regions),
+//!   which the simulator uses to discover which periods move data;
 //!
 //! plus the layer-wide quantities: the Step-1 DTL list, per-operand
 //! compute feed rates, and the phase inputs (`preload`, `offload`,
@@ -382,6 +383,33 @@ impl LoweredLayer {
         id
     }
 
+    /// The region ids of every period of `(op, level)` in order — the
+    /// same values as [`region`](Self::region) for `j = 0..z`, produced by
+    /// an incremental mixed-radix odometer (amortized O(1) per period, no
+    /// division).
+    pub fn regions(&self, op: Operand, level: usize) -> Regions<'_> {
+        let loops = self.loops_above(op, level);
+        let mut mul = 1u64;
+        let weights = loops
+            .iter()
+            .map(|&(size, relevant)| {
+                if !relevant {
+                    return 0;
+                }
+                let w = mul;
+                mul *= size;
+                w
+            })
+            .collect();
+        Regions {
+            loops,
+            weights,
+            digits: vec![0; loops.len()],
+            id: 0,
+            left: self.level(op, level).z,
+        }
+    }
+
     /// Distinct words of `op` the MAC array touches per cycle.
     pub fn words_per_cycle(&self, op: Operand) -> u64 {
         self.words_per_cycle[op.index()]
@@ -423,6 +451,47 @@ impl LoweredLayer {
             self.cc_spatial,
             ss_overall,
         )
+    }
+}
+
+/// Iterator over the per-period region ids of one `(operand, level)`;
+/// see [`LoweredLayer::regions`].
+#[derive(Debug, Clone)]
+pub struct Regions<'a> {
+    /// `(size, relevant)` loops above the level, innermost first.
+    loops: &'a [(u64, bool)],
+    /// Region-id weight of each loop's digit (0 for an irrelevant loop).
+    weights: Vec<u64>,
+    /// The current period's mixed-radix digits, innermost first.
+    digits: Vec<u64>,
+    /// Region id of the current period.
+    id: u64,
+    /// Periods still to yield.
+    left: u64,
+}
+
+impl Iterator for Regions<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let id = self.id;
+        // Advance one period: increment the innermost digit, carrying
+        // outwards past every digit that wraps.
+        for ((&(size, _), &w), digit) in self.loops.iter().zip(&self.weights).zip(&mut self.digits)
+        {
+            *digit += 1;
+            if *digit < size {
+                self.id += w;
+                break;
+            }
+            *digit = 0;
+            self.id -= (size - 1) * w;
+        }
+        Some(id)
     }
 }
 
@@ -515,5 +584,35 @@ mod tests {
             r.len() as u64
         };
         assert_eq!(distinct, lw.level(Operand::W, 0).distinct_above);
+    }
+
+    #[test]
+    fn regions_odometer_matches_region() {
+        let arch = presets::case_study_chip(128);
+        let layer = Layer::matmul("mm", 64, 64, 256, Precision::int8_acc24());
+        let mapping = Mapping::with_greedy_alloc(
+            &arch,
+            &layer,
+            SpatialUnroll::new(vec![(Dim::K, 16), (Dim::B, 8), (Dim::C, 2)]),
+            LoopStack::from_pairs(&[
+                (Dim::C, 16),
+                (Dim::K, 2),
+                (Dim::B, 4),
+                (Dim::C, 8),
+                (Dim::B, 2),
+                (Dim::K, 2),
+            ]),
+        )
+        .unwrap();
+        let view = MappedLayer::new(&layer, &arch, &mapping).unwrap();
+        let lw = LoweredLayer::build(&view, DtlOptions::default());
+        for op in Operand::all() {
+            for level in 0..lw.levels(op).len() {
+                let z = lw.level(op, level).z;
+                let walked: Vec<u64> = lw.regions(op, level).collect();
+                let direct: Vec<u64> = (0..z).map(|j| lw.region(op, level, j)).collect();
+                assert_eq!(walked, direct, "{op:?} level {level}");
+            }
+        }
     }
 }

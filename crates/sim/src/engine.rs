@@ -1,9 +1,21 @@
 //! The discrete-event execution engine: runs a [`Schedule`] against the
 //! physical ports and reports the observed cycle counts.
+//!
+//! Execution is one merge over two sorted arrays. The *start* array holds
+//! every transfer keyed by `(ready_cycle, kind rank, Reverse(level),
+//! operand, id)`, packed into one `u128`, so a single sort fixes both the
+//! boundary order and the documented tie-break within a boundary (drains,
+//! then refills, then read-backs; higher levels first). The *deadline*
+//! array holds `(need_cycle, id)` for every transfer compute blocks on.
+//! Walking the distinct boundary cycles of both arrays in order, the engine
+//! starts the boundary's transfers, then enforces its deadlines.
+//!
+//! Port state lives in a dense table: each `(memory, port)` pair maps to
+//! one slot of two `Vec<f64>` (free-at time and busy time), and completion
+//! times are a plain `Vec<f64>`. Nothing is allocated per transfer.
 
-use crate::schedule::{Schedule, TransferKind};
+use crate::schedule::{Schedule, Transfer, TransferKind};
 use crate::trace::{Trace, TraceEvent};
-use std::collections::{BTreeMap, HashMap};
 use ulm_arch::{MemoryId, PortId};
 
 /// Per-port occupancy statistics.
@@ -44,12 +56,6 @@ impl SimReport {
     }
 }
 
-#[derive(Default)]
-struct Bucket {
-    starts: Vec<usize>,
-    needs: Vec<usize>,
-}
-
 /// Executes the schedule and returns the observed cycle counts.
 ///
 /// Compute advances one loop-nest iteration per wall cycle except when a
@@ -59,91 +65,155 @@ struct Bucket {
 /// port for 1.5 cycles, and back-to-back blocks pack (real streaming
 /// buses do not waste partial beats between consecutive bursts).
 pub fn run(schedule: &Schedule) -> SimReport {
-    run_inner(schedule, None).0
+    execute(schedule, None)
 }
 
 /// [`run`], additionally recording a full [`Trace`] of every transfer and
 /// compute-stall interval for timeline rendering.
 pub fn run_traced(schedule: &Schedule) -> (SimReport, Trace) {
     let mut trace = Trace::default();
-    let report = {
-        let (r, t) = run_inner(schedule, Some(trace));
-        trace = t.expect("trace requested");
-        r
-    };
+    let report = execute(schedule, Some(&mut trace));
     (report, trace)
 }
 
-fn run_inner(schedule: &Schedule, trace: Option<Trace>) -> (SimReport, Option<Trace>) {
-    let mut trace = trace;
-    let transfers = &schedule.transfers;
-    let total = schedule.total_cycles;
+/// Bits of the packed start key below the ready cycle: kind rank (2),
+/// reversed level (8), operand (2), id (52).
+const ID_BITS: u32 = 52;
+const MAX_LEVEL: usize = 255;
 
-    // Bucket transfers by compute-cycle boundary.
-    let mut events: BTreeMap<u64, Bucket> = BTreeMap::new();
-    for t in transfers {
-        events.entry(t.ready_cycle).or_default().starts.push(t.id);
-        if t.need_cycle != u64::MAX && t.need_cycle <= total {
-            events.entry(t.need_cycle).or_default().needs.push(t.id);
-        }
-    }
-    events.entry(total).or_default();
-
-    // Deterministic start order within a boundary: drains release
-    // registers, then refills, then read-backs (which depend on drains);
-    // higher levels first so lower-level dependencies are satisfied.
-    let kind_rank = |k: TransferKind| match k {
-        TransferKind::Drain => 0u8,
+/// The start-order key of one transfer. Within a boundary, drains release
+/// registers first, then refills, then read-backs (which depend on
+/// drains); higher levels go first so lower-level dependencies are
+/// satisfied; operand and id break the remaining ties.
+fn start_key(t: &Transfer) -> u128 {
+    let rank: u64 = match t.kind {
+        TransferKind::Drain => 0,
         TransferKind::Refill => 1,
         TransferKind::Readback => 2,
     };
-    for bucket in events.values_mut() {
-        bucket.starts.sort_by_key(|&id| {
-            let t = &transfers[id];
-            (
-                kind_rank(t.kind),
-                std::cmp::Reverse(t.level),
-                t.operand.index(),
-                t.id,
-            )
-        });
+    assert!(t.level <= MAX_LEVEL, "level {} out of key range", t.level);
+    let low = rank << 62
+        | ((MAX_LEVEL - t.level) as u64) << 54
+        | (t.operand.index() as u64) << ID_BITS
+        | t.id as u64;
+    (u128::from(t.ready_cycle) << 64) | u128::from(low)
+}
+
+/// Dense `(memory, port)` → slot table with each slot's free-at and busy
+/// time. Slots are laid out memory-major, so slot order is report order.
+struct PortTable {
+    /// Slots per memory (largest port id + 1).
+    stride: usize,
+    free: Vec<f64>,
+    busy: Vec<f64>,
+    /// Whether any started transfer occupied the slot.
+    used: Vec<bool>,
+}
+
+impl PortTable {
+    /// A table for memory ids `< mems` and port ids `< stride`.
+    fn new(mems: usize, stride: usize) -> Self {
+        Self {
+            stride,
+            free: vec![0.0; mems * stride],
+            busy: vec![0.0; mems * stride],
+            used: vec![false; mems * stride],
+        }
     }
 
+    fn slot(&self, (mem, port): (MemoryId, PortId)) -> usize {
+        mem.0 * self.stride + port
+    }
+
+    fn report(&self) -> Vec<PortBusy> {
+        (0..self.used.len())
+            .filter(|&s| self.used[s])
+            .map(|s| PortBusy {
+                mem: MemoryId(s / self.stride),
+                port: s % self.stride,
+                busy_cycles: self.busy[s],
+            })
+            .collect()
+    }
+}
+
+/// The engine: one body behind [`run`] and [`run_traced`].
+fn execute(schedule: &Schedule, mut trace: Option<&mut Trace>) -> SimReport {
+    let transfers = &schedule.transfers;
+    let total = schedule.total_cycles;
+    assert!(
+        (transfers.len() as u64) < 1 << ID_BITS,
+        "schedule too long for the start key"
+    );
+
+    // One pass: start keys, deadline keys `(need_cycle, id)` packed the
+    // same way, and the port-id extents.
+    let mut starts: Vec<u128> = Vec::with_capacity(transfers.len());
+    let mut needs: Vec<u128> = Vec::with_capacity(transfers.len());
+    let (mut mems, mut stride) = (0, 0);
+    for t in transfers {
+        // Transfers ready after the last compute boundary never start.
+        if t.ready_cycle <= total {
+            starts.push(start_key(t));
+            for (mem, port) in t.ports {
+                mems = mems.max(mem.0 + 1);
+                stride = stride.max(port + 1);
+            }
+        }
+        if t.need_cycle != u64::MAX && t.need_cycle <= total {
+            needs.push((u128::from(t.need_cycle) << 64) | t.id as u128);
+        }
+    }
+    // Generation order leaves long ascending runs per (operand, level),
+    // which the stable sort merges instead of re-sorting.
+    starts.sort();
+    needs.sort();
+    let mut ports = PortTable::new(mems, stride);
+
+    let id_mask = (1u128 << ID_BITS) - 1;
     let mut wall: f64 = 0.0;
     let mut prev_cycle: u64 = 0;
     let mut stall: f64 = 0.0;
     let mut preload: f64 = 0.0;
-    let mut done: Vec<Option<f64>> = vec![None; transfers.len()];
-    let mut port_free: HashMap<(MemoryId, PortId), f64> = HashMap::new();
-    let mut port_busy: HashMap<(MemoryId, PortId), f64> = HashMap::new();
+    // NaN = not started yet.
+    let mut done: Vec<f64> = vec![f64::NAN; transfers.len()];
+    let (mut si, mut ni) = (0, 0);
 
-    for (&cycle, bucket) in &events {
-        if cycle > total {
-            break;
-        }
+    loop {
+        // The next boundary: the earliest pending start or deadline, and
+        // never past the end of compute.
+        let next_start = starts.get(si).map_or(u64::MAX, |&k| (k >> 64) as u64);
+        let next_need = needs.get(ni).map_or(u64::MAX, |&k| (k >> 64) as u64);
+        let cycle = next_start.min(next_need).min(total);
         // Compute advances freely between boundaries.
         wall += (cycle - prev_cycle) as f64;
         prev_cycle = cycle;
         // Starts first: transfers become eligible the moment compute
         // arrives (a zero-window transfer — ready == need — starts here
         // and immediately stalls compute below).
-        for &id in &bucket.starts {
+        while let Some(&key) = starts.get(si).filter(|&&k| (k >> 64) as u64 == cycle) {
+            si += 1;
+            let id = (key & id_mask) as usize;
             let t = &transfers[id];
+            let slots = t.ports.map(|p| ports.slot(p));
             let mut start = wall;
             for &dep in &t.deps {
-                start = start.max(done[dep].expect("dependencies are scheduled first"));
+                let d = done[dep];
+                assert!(!d.is_nan(), "dependencies are scheduled first");
+                start = start.max(d);
             }
-            for &p in &t.ports {
-                start = start.max(*port_free.get(&p).unwrap_or(&0.0));
+            for &s in &slots {
+                start = start.max(ports.free[s]);
             }
             let dur = t.bits as f64 / t.link_bw as f64;
             let finish = start + dur;
-            for &p in &t.ports {
-                port_free.insert(p, finish);
-                *port_busy.entry(p).or_insert(0.0) += dur;
+            for &s in &slots {
+                ports.free[s] = finish;
+                ports.busy[s] += dur;
+                ports.used[s] = true;
             }
-            done[id] = Some(finish);
-            if let Some(tr) = trace.as_mut() {
+            done[id] = finish;
+            if let Some(tr) = trace.as_deref_mut() {
                 tr.events.push(TraceEvent {
                     operand: t.operand,
                     kind: t.kind,
@@ -151,68 +221,64 @@ fn run_inner(schedule: &Schedule, trace: Option<Trace>) -> (SimReport, Option<Tr
                     period: t.period,
                     start,
                     end: finish,
-                    ports: t.ports.clone(),
+                    ports: t.ports,
                 });
             }
         }
         // Deadlines: compute may not pass this boundary until met.
-        for &id in &bucket.needs {
-            let d = done[id].expect("needed transfer was scheduled at or before its deadline");
+        while let Some(&key) = needs.get(ni).filter(|&&k| (k >> 64) as u64 == cycle) {
+            ni += 1;
+            let d = done[(key & id_mask) as usize];
+            assert!(
+                !d.is_nan(),
+                "needed transfer was scheduled at or before its deadline"
+            );
             if d > wall {
                 let s = d - wall;
                 stall += s;
                 if cycle == 0 {
                     preload += s;
                 }
-                if let Some(tr) = trace.as_mut() {
+                if let Some(tr) = trace.as_deref_mut() {
                     tr.stalls.push((wall, d));
                 }
                 wall = d;
             }
         }
+        if cycle == total {
+            break;
+        }
     }
 
-    // Drain tail: the layer finishes when the last transfer lands.
+    // Drain tail: the layer finishes when the last transfer lands
+    // (`f64::max` skips the NaN of never-started transfers).
     let compute_end = wall;
-    let last_done = done.iter().flatten().copied().fold(0.0f64, f64::max);
+    let last_done = done.iter().copied().fold(0.0f64, f64::max);
     let total = compute_end.max(last_done);
     let total_cycles = total.ceil() as u64;
     let tail_cycles = (total - compute_end).round() as u64;
 
-    let mut ports: Vec<PortBusy> = port_busy
-        .into_iter()
-        .map(|((mem, port), busy_cycles)| PortBusy {
-            mem,
-            port,
-            busy_cycles,
-        })
-        .collect();
-    ports.sort_by_key(|p| (p.mem, p.port));
-
-    if let Some(tr) = trace.as_mut() {
+    if let Some(tr) = trace {
         tr.total = total;
     }
-    (
-        SimReport {
-            total_cycles,
-            compute_cycles: schedule.total_cycles,
-            stall_cycles: stall.round() as u64,
-            preload_cycles: preload.round() as u64,
-            tail_cycles,
-            transfers: transfers.len() as u64,
-            ports,
-        },
-        trace,
-    )
+    SimReport {
+        total_cycles,
+        compute_cycles: schedule.total_cycles,
+        stall_cycles: stall.round() as u64,
+        preload_cycles: preload.round() as u64,
+        tail_cycles,
+        transfers: transfers.len() as u64,
+        ports: ports.report(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::build_schedule;
+    use crate::schedule::{build_schedule, Deps};
     use ulm_arch::presets;
     use ulm_mapping::{LoopStack, MappedLayer, Mapping, SpatialUnroll};
-    use ulm_workload::{Dim, Layer, Precision};
+    use ulm_workload::{Dim, Layer, Operand, Precision};
 
     fn toy_sim(stack: &[(Dim, u64)]) -> SimReport {
         let chip = presets::toy_chip();
@@ -227,6 +293,66 @@ mod tests {
         let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
         let s = build_schedule(&view, 1 << 20).unwrap();
         run(&s)
+    }
+
+    #[test]
+    fn same_cycle_starts_follow_the_documented_order() {
+        // Six transfers become ready at cycle 2 and serialize on one
+        // shared port, listed in an order unrelated to the expected one.
+        let shared = (MemoryId(0), 0);
+        let spec = [
+            (Operand::O, TransferKind::Readback, 0),
+            (Operand::W, TransferKind::Refill, 0),
+            (Operand::O, TransferKind::Drain, 0),
+            (Operand::W, TransferKind::Refill, 1),
+            (Operand::O, TransferKind::Drain, 1),
+            (Operand::O, TransferKind::Readback, 1),
+        ];
+        let transfers = spec
+            .iter()
+            .enumerate()
+            .map(|(id, &(operand, kind, level))| Transfer {
+                id,
+                operand,
+                kind,
+                level,
+                period: 0,
+                ready_cycle: 2,
+                need_cycle: u64::MAX,
+                bits: 4,
+                link_bw: 1,
+                ports: [shared, (MemoryId(1 + id), 0)],
+                deps: Deps::default(),
+            })
+            .collect();
+        let schedule = Schedule {
+            transfers,
+            total_cycles: 10,
+        };
+        let (report, trace) = run_traced(&schedule);
+        let order: Vec<(TransferKind, usize)> =
+            trace.events.iter().map(|e| (e.kind, e.level)).collect();
+        assert_eq!(
+            order,
+            [
+                (TransferKind::Drain, 1),
+                (TransferKind::Drain, 0),
+                (TransferKind::Refill, 1),
+                (TransferKind::Refill, 0),
+                (TransferKind::Readback, 1),
+                (TransferKind::Readback, 0),
+            ]
+        );
+        // Back to back on the shared port, from the boundary on.
+        for (k, e) in trace.events.iter().enumerate() {
+            assert_eq!(e.start, 2.0 + 4.0 * k as f64);
+            assert_eq!(e.end, e.start + 4.0);
+        }
+        assert_eq!(report.total_cycles, 26);
+        assert_eq!(report.tail_cycles, 16);
+        assert_eq!(report.stall_cycles, 0);
+        assert_eq!(report.ports[0].busy_cycles, 24.0);
+        assert_eq!(report.ports.len(), 7);
     }
 
     #[test]

@@ -47,7 +47,9 @@ pub mod schedule;
 pub mod trace;
 
 pub use engine::{PortBusy, SimReport};
-pub use schedule::{build_schedule_lowered, Schedule, ScheduleTooLarge, Transfer, TransferKind};
+pub use schedule::{
+    build_schedule_lowered, Deps, Schedule, ScheduleTooLarge, Transfer, TransferKind,
+};
 pub use trace::{Trace, TraceEvent};
 
 use ulm_mapping::MappedLayer;

@@ -9,7 +9,7 @@
 //! port availability. This independence is what makes the model-vs-sim
 //! comparison a meaningful validation.
 
-use std::collections::HashMap;
+use std::ops::{Deref, Range};
 use ulm_arch::{MemoryId, PortId, PortUse};
 use ulm_mapping::MappedLayer;
 use ulm_model::{DtlOptions, LoweredLayer};
@@ -24,6 +24,54 @@ pub enum TransferKind {
     Drain,
     /// Partial sums returning down into a level.
     Readback,
+}
+
+/// The transfers one transfer waits on, stored inline: no path needs more
+/// than two (a refill waits on its upper level's covering block; a strict
+/// read-back waits on the drain that parked its psums and the drain that
+/// frees the registers). Derefs to `&[usize]`.
+// Unused slots stay zero (only `push` writes), so the derived equality
+// is slice equality.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct Deps {
+    ids: [usize; 2],
+    len: u8,
+}
+
+impl Deps {
+    /// Appends a dependency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transfer already has two dependencies.
+    pub fn push(&mut self, id: usize) {
+        assert!(self.len < 2, "a transfer has at most two dependencies");
+        self.ids[usize::from(self.len)] = id;
+        self.len += 1;
+    }
+}
+
+impl Deref for Deps {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a Deps {
+    type Item = &'a usize;
+    type IntoIter = std::slice::Iter<'a, usize>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for Deps {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// One block transfer.
@@ -48,10 +96,11 @@ pub struct Transfer {
     pub bits: u64,
     /// Effective link bandwidth, bits/cycle (min over the two ports).
     pub link_bw: u64,
-    /// The ports occupied for the transfer's duration.
-    pub ports: Vec<(MemoryId, PortId)>,
+    /// The two ports occupied for the transfer's duration: the source
+    /// memory's read port, then the destination memory's write port.
+    pub ports: [(MemoryId, PortId); 2],
     /// Transfers that must complete before this one starts.
-    pub deps: Vec<usize>,
+    pub deps: Deps,
 }
 
 impl Transfer {
@@ -107,6 +156,10 @@ pub fn build_schedule(view: &MappedLayer<'_>, cap: u64) -> Result<Schedule, Sche
 /// [`LoweredLayer`] tables the analytical model and the energy model
 /// read, so the three consumers cannot disagree about what data moves.
 ///
+/// Periods are walked with [`LoweredLayer::regions`]; every side table is
+/// sized by transfers, never by periods, so memory stays bounded by the
+/// cap however long a level's pure-reuse runs are.
+///
 /// # Errors
 ///
 /// Returns [`ScheduleTooLarge`] if more than `cap` transfers would be
@@ -122,10 +175,12 @@ pub fn build_schedule_lowered(
 
     // Pre-flight size check using the exact refill counts. Interfaces
     // above a residency pin (KV-cache, fused intermediates) move nothing.
+    // Saturating: a wrapped estimate could slip under the cap.
     let mut est: u64 = 0;
     for op in Operand::all() {
         for level in 0..lowered.active_interfaces(op) {
-            est += 2 * lowered.level(op, level).refills; // refills or drains+readbacks
+            // refills, or drains + read-backs
+            est = est.saturating_add(lowered.level(op, level).refills.saturating_mul(2));
         }
     }
     if est > cap {
@@ -135,10 +190,11 @@ pub fn build_schedule_lowered(
         });
     }
 
-    let mut transfers: Vec<Transfer> = Vec::new();
-    // For refill dependency lookup: (op, level) -> per-period covering
-    // transfer id. Stored for every level that has refills.
-    let mut covering: HashMap<(Operand, usize), Vec<usize>> = HashMap::new();
+    // The estimate bounds the count from above and has passed the cap;
+    // reserving it up front saves the growth copies (untouched capacity
+    // is never paged in).
+    let mut transfers: Vec<Transfer> =
+        Vec::with_capacity(usize::try_from(est).unwrap_or(usize::MAX));
 
     // Build top-down so a lower level can reference its upper level's
     // covering transfers.
@@ -149,6 +205,9 @@ pub fn build_schedule_lowered(
             continue;
         }
         let op_bits = layer.precision().bits(op);
+        // The refills of the level above the current one (W/I): their
+        // periods are the run starts of that level's covering, in order.
+        let mut upper_refills: Range<usize> = 0..0;
         for level in (0..active).rev() {
             let lower = chain[level];
             let upper = chain[level + 1];
@@ -168,13 +227,14 @@ pub fn build_schedule_lowered(
                     let (wp, wbw) = h.port(lower, op, PortUse::WriteIn);
                     let (rp, rbw) = h.port(upper, op, PortUse::ReadOut);
                     let link_bw = wbw.min(rbw);
-                    let mut cover = Vec::with_capacity(z as usize);
+                    let up_period = lowered.level(op, level + 1).period;
+                    // Monotone cursor into `upper_refills`: the refill whose
+                    // run covers the current need cycle.
+                    let mut cover = upper_refills.start;
+                    let first = transfers.len();
                     let mut last_region = None;
-                    for j in 0..z {
-                        let region = lowered.region(op, level, j);
+                    for (j, region) in (0..z).zip(lowered.regions(op, level)) {
                         if last_region == Some(region) {
-                            let prev = *cover.last().expect("first period always transfers");
-                            cover.push(prev);
                             continue;
                         }
                         last_region = Some(region);
@@ -186,15 +246,16 @@ pub fn build_schedule_lowered(
                         let need_cycle = j * period;
                         // Data dependency: the upper-level block covering
                         // this period must already have arrived.
-                        let mut deps = Vec::new();
+                        let mut deps = Deps::default();
                         if !upper_is_top {
-                            let up_period = lowered.level(op, level + 1).period;
                             let jj = need_cycle / up_period;
-                            let up_cover = &covering[&(op, level + 1)];
-                            deps.push(up_cover[jj as usize]);
+                            while cover + 1 < upper_refills.end && transfers[cover + 1].period <= jj
+                            {
+                                cover += 1;
+                            }
+                            deps.push(cover);
                         }
                         let id = transfers.len();
-                        cover.push(id);
                         transfers.push(Transfer {
                             id,
                             operand: op,
@@ -205,11 +266,11 @@ pub fn build_schedule_lowered(
                             need_cycle,
                             bits: words * op_bits,
                             link_bw,
-                            ports: vec![(upper, rp), (lower, wp)],
+                            ports: [(upper, rp), (lower, wp)],
                             deps,
                         });
                     }
-                    covering.insert((op, level), cover);
+                    upper_refills = first..transfers.len();
                 }
                 Operand::O => {
                     // A replicated output register file is a reduction /
@@ -226,54 +287,53 @@ pub fn build_schedule_lowered(
                     let (rwp, rwbw) = h.port(lower, op, PortUse::WriteIn);
                     let rb_bw = rrbw.min(rwbw);
                     // Last drain id per region (for read-back deps) and
-                    // previous-period drain (for register-free deps).
-                    let mut last_drain_of_region: HashMap<u64, usize> = HashMap::new();
+                    // previous-period drain (for register-free deps). Every
+                    // region drains at least once, so the table is bounded
+                    // by the drain count.
+                    let regions_above = usize::try_from(row.distinct_above)
+                        .expect("distinct regions are bounded by the transfer cap");
+                    let mut last_drain_of_region = vec![usize::MAX; regions_above];
                     let mut prev_drain: Option<usize> = None;
+                    let mut regions = lowered.regions(op, level);
+                    let mut prev_region = None;
+                    let mut next_region = regions.next();
                     for j in 0..z {
-                        let region = lowered.region(op, level, j);
-                        let next_region = if j + 1 < z {
-                            Some(lowered.region(op, level, j + 1))
-                        } else {
-                            None
-                        };
+                        let region = next_region.expect("one region per period");
+                        next_region = regions.next();
                         // Read-back first: re-entering a region seen before.
-                        let prev_region = if j > 0 {
-                            Some(lowered.region(op, level, j - 1))
-                        } else {
-                            None
-                        };
-                        if prev_region != Some(region) {
-                            if let Some(&src) = last_drain_of_region.get(&region) {
-                                // Strictly single-buffered registers must
-                                // first drain the outgoing block before old
-                                // psums can land; a pipeline (or double
-                                // buffer) lets the read-back prefetch one
-                                // period ahead.
-                                let mut deps = vec![src];
-                                let ready_cycle = if relaxed {
-                                    (j.saturating_sub(1)) * period
-                                } else {
-                                    if let Some(pd) = prev_drain {
-                                        deps.push(pd);
-                                    }
-                                    j * period
-                                };
-                                let id = transfers.len();
-                                transfers.push(Transfer {
-                                    id,
-                                    operand: op,
-                                    kind: TransferKind::Readback,
-                                    level,
-                                    period: j,
-                                    ready_cycle,
-                                    need_cycle: j * period,
-                                    bits: words * layer.precision().partial_sum_bits(),
-                                    link_bw: rb_bw,
-                                    ports: vec![(upper, rrp), (lower, rwp)],
-                                    deps,
-                                });
-                            }
+                        let src = last_drain_of_region[region as usize];
+                        if prev_region != Some(region) && src != usize::MAX {
+                            // Strictly single-buffered registers must
+                            // first drain the outgoing block before old
+                            // psums can land; a pipeline (or double
+                            // buffer) lets the read-back prefetch one
+                            // period ahead.
+                            let mut deps = Deps::default();
+                            deps.push(src);
+                            let ready_cycle = if relaxed {
+                                (j.saturating_sub(1)) * period
+                            } else {
+                                if let Some(pd) = prev_drain {
+                                    deps.push(pd);
+                                }
+                                j * period
+                            };
+                            let id = transfers.len();
+                            transfers.push(Transfer {
+                                id,
+                                operand: op,
+                                kind: TransferKind::Readback,
+                                level,
+                                period: j,
+                                ready_cycle,
+                                need_cycle: j * period,
+                                bits: words * layer.precision().partial_sum_bits(),
+                                link_bw: rb_bw,
+                                ports: [(upper, rrp), (lower, rwp)],
+                                deps,
+                            });
                         }
+                        prev_region = Some(region);
                         // Drain at the end of the region's last period.
                         if next_region != Some(region) {
                             let ready_cycle = if run == 1 {
@@ -299,7 +359,7 @@ pub fn build_schedule_lowered(
                                 need_cycle
                             };
                             let id = transfers.len();
-                            last_drain_of_region.insert(region, id);
+                            last_drain_of_region[region as usize] = id;
                             prev_drain = Some(id);
                             transfers.push(Transfer {
                                 id,
@@ -311,8 +371,8 @@ pub fn build_schedule_lowered(
                                 need_cycle,
                                 bits: words * out_bits,
                                 link_bw: drain_bw,
-                                ports: vec![(lower, drp), (upper, dwp)],
-                                deps: Vec::new(),
+                                ports: [(lower, drp), (upper, dwp)],
+                                deps: Deps::default(),
                             });
                         }
                     }
@@ -410,6 +470,92 @@ mod tests {
         // Z = 32 periods but only 16 distinct blocks.
         assert_eq!(view.z(Operand::W, 0), 32);
         assert_eq!(w_refills, 16);
+    }
+
+    #[test]
+    fn long_reuse_runs_resolve_deps_like_a_per_period_lookup() {
+        // The reuse shape above, scaled up on a three-level chain: W's
+        // registers hold nothing, so a B256 run reuses each W block for
+        // 256 periods, and the LB's own loops start with an irrelevant
+        // B4, so LB refills repeat in runs too.
+        let chip = presets::fusion_chip();
+        let layer = Layer::matmul("mm", 2 * 1024, 2 * 4, 16, Precision::int8_acc24());
+        let stack = LoopStack::from_pairs(&[
+            (Dim::B, 256),
+            (Dim::C, 4),
+            (Dim::B, 4),
+            (Dim::K, 2),
+            (Dim::C, 4),
+            (Dim::K, 2),
+        ]);
+        let allocs = ulm_workload::PerOperand::new(
+            ulm_mapping::OperandAlloc::new(vec![0, 2, 6]),
+            ulm_mapping::OperandAlloc::new(vec![0, 0, 6]),
+            ulm_mapping::OperandAlloc::new(vec![0, 0, 6]),
+        );
+        let mapping = Mapping::new(SpatialUnroll::new(chip.spatial.clone()), stack, allocs);
+        let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
+        let lowered = LoweredLayer::build(&view, DtlOptions::default());
+        let s = build_schedule_lowered(&view, &lowered, 1 << 20).unwrap();
+        let refills = |level: usize| -> Vec<&Transfer> {
+            s.transfers
+                .iter()
+                .filter(|t| {
+                    t.operand == Operand::W && t.kind == TransferKind::Refill && t.level == level
+                })
+                .collect()
+        };
+        let (lo, up) = (refills(0), refills(1));
+        let (z0, z1) = (
+            lowered.level(Operand::W, 0).z,
+            lowered.level(Operand::W, 1).z,
+        );
+        assert_eq!(z0, 256 * lo.len() as u64, "one W refill per B256 run");
+        assert!((up.len() as u64) < z1, "the LB level has reuse runs too");
+
+        // The per-period covering table: the latest upper refill issued
+        // at or before each period.
+        let mut cover = Vec::new();
+        let mut issued = up.iter();
+        let mut last = None;
+        for j in 0..z1 {
+            let region = lowered.region(Operand::W, 1, j);
+            if last != Some(region) {
+                last = Some(region);
+                cover.push(issued.next().unwrap().id);
+            } else {
+                cover.push(*cover.last().unwrap());
+            }
+        }
+        let up_period = lowered.level(Operand::W, 1).period;
+        for t in &lo {
+            assert_eq!(
+                *t.deps,
+                [cover[(t.need_cycle / up_period) as usize]],
+                "{t:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn saturated_estimate_is_refused() {
+        // 2^62 temporal cycles with C innermost: the W and I refill
+        // counts are 2^62 each, so twice their sum overflows u64. The
+        // estimate must saturate and be refused, not wrap to a small
+        // number that passes the cap.
+        let chip = presets::toy_chip();
+        let layer = Layer::matmul("huge", 1 << 21, 1 << 21, 1 << 20, Precision::int8_acc24());
+        let mapping = Mapping::with_greedy_alloc(
+            &chip.arch,
+            &layer,
+            SpatialUnroll::unit(),
+            LoopStack::from_pairs(&[(Dim::C, 1 << 20), (Dim::B, 1 << 21), (Dim::K, 1 << 21)]),
+        )
+        .unwrap();
+        let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
+        let err = build_schedule(&view, 1 << 44).unwrap_err();
+        assert_eq!(err.transfers, u64::MAX);
+        assert_eq!(err.cap, 1 << 44);
     }
 
     #[test]

@@ -22,8 +22,9 @@ pub struct TraceEvent {
     pub start: f64,
     /// Wall-clock end.
     pub end: f64,
-    /// Ports occupied.
-    pub ports: Vec<(MemoryId, PortId)>,
+    /// Ports occupied: the source's read port, then the destination's
+    /// write port.
+    pub ports: [(MemoryId, PortId); 2],
 }
 
 /// A recorded execution: transfers plus compute-stall intervals.
@@ -61,7 +62,7 @@ impl Trace {
                 }
             };
         for e in &self.events {
-            for &p in &e.ports {
+            for p in e.ports {
                 let li = lane_of(p, &mut lanes);
                 let lo = ((e.start / scale) as usize).min(width - 1);
                 let hi = ((e.end / scale).ceil() as usize).clamp(lo + 1, width);
@@ -117,6 +118,8 @@ mod tests {
     use super::*;
     use ulm_arch::MemoryId;
 
+    /// A refill from the shared memory 2 (read port 0) into `mem` (write
+    /// port 1).
     fn ev(start: f64, end: f64, mem: usize) -> TraceEvent {
         TraceEvent {
             operand: Operand::W,
@@ -125,7 +128,7 @@ mod tests {
             period: 0,
             start,
             end,
-            ports: vec![(MemoryId(mem), 0)],
+            ports: [(MemoryId(2), 0), (MemoryId(mem), 1)],
         }
     }
 
@@ -137,14 +140,17 @@ mod tests {
             total: 10.0,
         };
         let s = trace.render_ascii(20, |m, p| format!("m{}p{p}", m.0));
-        // First lane busy in the first half, second in the second half.
+        // First lane busy in the first half, second in the second half,
+        // the shared source port throughout.
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("m0p0"));
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains("m0p1"));
         assert!(lines[0][..lines[0].len() / 2].contains('#'));
         assert!(lines[1].ends_with('|'));
-        assert!(lines[2].contains('!'), "{s}");
-        assert!(lines[2].contains('='), "{s}");
+        assert!(lines[2].contains("m2p0"));
+        assert!(!lines[2].contains('.'), "{s}");
+        assert!(lines[3].contains('!'), "{s}");
+        assert!(lines[3].contains('='), "{s}");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! cargo run --release --example timeline_trace
 //! ```
 
+use ulm::arch::PortId;
 use ulm::prelude::*;
 use ulm::sim::Trace;
 
@@ -28,10 +29,24 @@ fn show(arch: &Architecture, layer: &Layer, spatial: SpatialUnroll, stack: LoopS
         report.tail_cycles,
         trace.stall_fraction() * 100.0
     );
-    print!(
-        "{}",
-        trace.render_ascii(96, |m, p| format!("{} p{p}", h.mem(m).name()))
-    );
+    let name = |(m, p): (MemoryId, PortId)| format!("{} p{p}", h.mem(m).name());
+    print!("{}", trace.render_ascii(96, |m, p| name((m, p))));
+    // Each event's ports are its (source read, destination write) pair:
+    // count transfers per link and report the busiest one.
+    let mut links: Vec<([(MemoryId, PortId); 2], usize)> = Vec::new();
+    for e in &trace.events {
+        match links.iter_mut().find(|(l, _)| *l == e.ports) {
+            Some((_, n)) => *n += 1,
+            None => links.push((e.ports, 1)),
+        }
+    }
+    if let Some(([src, dst], n)) = links.into_iter().max_by_key(|&(_, n)| n) {
+        println!(
+            "busiest link: {} -> {} ({n} transfers)",
+            name(src),
+            name(dst)
+        );
+    }
 }
 
 fn main() {

@@ -42,6 +42,10 @@ cargo test --release -q -p ulm --test batch_equivalence
 echo "==> lowered-IR consistency proptests (release: pins, fusion, KV-cache)"
 cargo test --release -q -p ulm --test lowered_consistency
 
+echo "==> simulator gates (release: unit tests, golden SimReport bits, sim proptests)"
+cargo test --release -q -p ulm-sim
+cargo test --release -q -p ulm --test sim_props --test model_vs_sim_prop
+
 echo "==> surrogate-vs-evaluate_fast differential proptests (release)"
 cargo test --release -q -p ulm --test surrogate_props
 
