@@ -1,22 +1,47 @@
-//! The discrete-event execution engine: runs a [`Schedule`] against the
+//! The discrete-event execution engine: runs a schedule against the
 //! physical ports and reports the observed cycle counts.
 //!
-//! Execution is one merge over two sorted arrays. The *start* array holds
-//! every transfer keyed by `(ready_cycle, kind rank, Reverse(level),
-//! operand, id)`, packed into one `u128`, so a single sort fixes both the
-//! boundary order and the documented tie-break within a boundary (drains,
-//! then refills, then read-backs; higher levels first). The *deadline*
-//! array holds `(need_cycle, id)` for every transfer compute blocks on.
-//! Walking the distinct boundary cycles of both arrays in order, the engine
-//! starts the boundary's transfers, then enforces its deadlines.
+//! # Runs
 //!
-//! Port state lives in a dense table: each `(memory, port)` pair maps to
-//! one slot of two `Vec<f64>` (free-at time and busy time), and completion
-//! times are a plain `Vec<f64>`. Nothing is allocated per transfer.
+//! The schedule builder emits each `(operand, level, kind)` stream of
+//! transfers already in `(ready_cycle, id)` order, and the transfers of a
+//! stream that compute blocks on in `(need_cycle, id)` order. The engine
+//! therefore never sorts the whole schedule. It fills a `Plan` — per id
+//! the duration, the two port slots (resolved once, at push time) and the
+//! dependencies — and keeps two runs per stream: the *start* run of
+//! `(ready_cycle, id)` and the *deadline* run of `(need_cycle, id)`. A run
+//! that arrives out of order (a hand-built [`Schedule`] given to [`run`])
+//! is sorted on entry. The order check is one comparison per push, so
+//! for builder output the sort is that linear pass and nothing more.
+//!
+//! # Boundary walk
+//!
+//! The next boundary is the minimum of the run heads. At each boundary
+//! the start runs are visited in `(kind rank, Reverse(level), operand)`
+//! order — drains, then refills, then read-backs; higher levels first —
+//! so the starts follow `(ready_cycle, kind rank, Reverse(level),
+//! operand, id)`. Then the deadlines due at that cycle are collected from
+//! every deadline run and enforced in id order, which fixes the float
+//! accumulation of stall time.
+//!
+//! # Arena
+//!
+//! The plan's vectors, the completion times and the port table live in a
+//! per-thread arena: cleared between simulations, their capacity kept, so
+//! repeated simulations on one thread neither allocate per transfer nor
+//! fault fresh pages in. What a thread retains is sized by the largest
+//! schedule it has run (about 64 bytes per transfer), which the transfer
+//! cap bounds. The arena is per thread because `Simulator` is a `Copy`
+//! configuration that callers build afresh for every call.
 
-use crate::schedule::{Schedule, Transfer, TransferKind};
+use crate::schedule::{self, Schedule, ScheduleTooLarge, Sink, Transfer, TransferKind};
 use crate::trace::{Trace, TraceEvent};
+use std::cell::RefCell;
+use std::cmp::Reverse;
 use ulm_arch::{MemoryId, PortId};
+use ulm_mapping::MappedLayer;
+use ulm_model::LoweredLayer;
+use ulm_workload::ALL_OPERANDS;
 
 /// Per-port occupancy statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,45 +90,178 @@ impl SimReport {
 /// port for 1.5 cycles, and back-to-back blocks pack (real streaming
 /// buses do not waste partial beats between consecutive bursts).
 pub fn run(schedule: &Schedule) -> SimReport {
-    execute(schedule, None)
+    with_plan(|plan| {
+        plan.fill(schedule);
+        execute(plan, schedule.total_cycles, None)
+    })
 }
 
 /// [`run`], additionally recording a full [`Trace`] of every transfer and
 /// compute-stall interval for timeline rendering.
 pub fn run_traced(schedule: &Schedule) -> (SimReport, Trace) {
-    let mut trace = Trace::default();
-    let report = execute(schedule, Some(&mut trace));
-    (report, trace)
+    with_plan(|plan| {
+        plan.fill(schedule);
+        let mut trace = Trace::default();
+        let report = execute(
+            plan,
+            schedule.total_cycles,
+            Some((&mut trace, &schedule.transfers)),
+        );
+        (report, trace)
+    })
 }
 
-/// Bits of the packed start key below the ready cycle: kind rank (2),
-/// reversed level (8), operand (2), id (52).
-const ID_BITS: u32 = 52;
-const MAX_LEVEL: usize = 255;
+/// Builds the lowered layer's schedule straight into the arena's plan and
+/// executes it, never materializing the transfers.
+pub(crate) fn simulate_lowered(
+    view: &MappedLayer<'_>,
+    lowered: &LoweredLayer,
+    cap: u64,
+) -> Result<SimReport, ScheduleTooLarge> {
+    let est = schedule::estimate(lowered, cap)?;
+    Ok(with_plan(|plan| {
+        plan.reserve(usize::try_from(est).unwrap_or(usize::MAX));
+        schedule::emit(view, lowered, plan);
+        execute(plan, lowered.cc_spatial(), None)
+    }))
+}
 
-/// The start-order key of one transfer. Within a boundary, drains release
-/// registers first, then refills, then read-backs (which depend on
-/// drains); higher levels go first so lower-level dependencies are
-/// satisfied; operand and id break the remaining ties.
-fn start_key(t: &Transfer) -> u128 {
-    let rank: u64 = match t.kind {
+thread_local! {
+    static ARENA: RefCell<Plan> = RefCell::new(Plan::default());
+}
+
+/// Runs `f` on this thread's arena plan, cleared first.
+fn with_plan<R>(f: impl FnOnce(&mut Plan) -> R) -> R {
+    ARENA.with(|arena| {
+        let mut plan = arena.borrow_mut();
+        plan.clear();
+        f(&mut plan)
+    })
+}
+
+/// The later of two times — `f64::max` for the engine's times, which are
+/// never NaN or negative zero, with a predictable branch in place of the
+/// NaN handling.
+fn later(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// Marks an absent port slot or dependency.
+const NONE: u32 = u32::MAX;
+/// Transfer kinds, the stride of the stream index.
+const KINDS: usize = 3;
+
+/// The start-order rank of a kind: drains release registers first, then
+/// refills, then read-backs (which depend on drains).
+fn kind_rank(kind: TransferKind) -> usize {
+    match kind {
         TransferKind::Drain => 0,
         TransferKind::Refill => 1,
         TransferKind::Readback => 2,
-    };
-    assert!(t.level <= MAX_LEVEL, "level {} out of key range", t.level);
-    let low = rank << 62
-        | ((MAX_LEVEL - t.level) as u64) << 54
-        | (t.operand.index() as u64) << ID_BITS
-        | t.id as u64;
-    (u128::from(t.ready_cycle) << 64) | u128::from(low)
+    }
+}
+
+/// The dense index of a `(level, operand, kind)` stream.
+fn stream_index(t: &Transfer) -> usize {
+    (t.level * ALL_OPERANDS.len() + t.operand.index()) * KINDS + kind_rank(t.kind)
+}
+
+/// Where a stream's start run goes in the boundary walk: kind rank, then
+/// higher levels first (so lower-level dependencies are satisfied), then
+/// operand.
+fn run_order(stream: usize) -> (usize, Reverse<usize>, usize) {
+    let (rest, rank) = (stream / KINDS, stream % KINDS);
+    let (level, operand) = (rest / ALL_OPERANDS.len(), rest % ALL_OPERANDS.len());
+    (rank, Reverse(level), operand)
+}
+
+/// The two runs of one `(operand, level, kind)` stream.
+#[derive(Default)]
+struct Stream {
+    /// `(ready_cycle, id)` of every transfer.
+    starts: Run,
+    /// `(need_cycle, id)` of every transfer compute blocks on.
+    needs: Run,
+    /// The last link pushed (ports, bits, bandwidth) with its resolved
+    /// slots and duration: a stream's transfers share one link, so
+    /// nearly every push resolves from here.
+    link: Option<(Link, [u32; 2], f64)>,
+}
+
+/// What a transfer's port slots and duration depend on.
+type Link = ([(MemoryId, PortId); 2], u64, u64);
+
+/// `(cycle, id)` entries. Ids arrive ascending (they are push order), so
+/// the run is out of order only if a cycle ever decreased.
+#[derive(Default)]
+struct Run {
+    entries: Vec<(u64, u32)>,
+    /// The last cycle pushed.
+    last: u64,
+    unsorted: bool,
+}
+
+impl Run {
+    fn push(&mut self, cycle: u64, id: u32) {
+        self.unsorted |= cycle < self.last;
+        self.last = cycle;
+        self.entries.push((cycle, id));
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.last = 0;
+        self.unsorted = false;
+    }
+
+    /// The entries in `(cycle, id)` order: the order check ran on entry,
+    /// so a presorted run costs nothing more here.
+    fn sorted(&mut self) -> &[(u64, u32)] {
+        if self.unsorted {
+            self.entries.sort_unstable();
+            self.unsorted = false;
+        }
+        &self.entries
+    }
+}
+
+/// The unvisited rest of one run, with its head cycle (`u64::MAX` once
+/// spent).
+struct Cursor<'a> {
+    stream: usize,
+    rest: &'a [(u64, u32)],
+    head: u64,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `run`, if it has any entry.
+    fn new(stream: usize, run: &'a [(u64, u32)]) -> Option<Self> {
+        run.first().map(|&(head, _)| Self {
+            stream,
+            rest: run,
+            head,
+        })
+    }
+
+    /// Pops the head entry's id and moves on.
+    fn advance(&mut self) -> u32 {
+        let id = self.rest[0].1;
+        self.rest = &self.rest[1..];
+        self.head = self.rest.first().map_or(u64::MAX, |&(c, _)| c);
+        id
+    }
 }
 
 /// Dense `(memory, port)` → slot table with each slot's free-at and busy
-/// time. Slots are laid out memory-major, so slot order is report order.
+/// time. Slots are numbered in order of first sight.
+#[derive(Default)]
 struct PortTable {
-    /// Slots per memory (largest port id + 1).
-    stride: usize,
+    /// `slot_of[mem][port]`, `NONE` for a port not seen yet.
+    slot_of: Vec<Vec<u32>>,
     free: Vec<f64>,
     busy: Vec<f64>,
     /// Whether any started transfer occupied the slot.
@@ -111,124 +269,235 @@ struct PortTable {
 }
 
 impl PortTable {
-    /// A table for memory ids `< mems` and port ids `< stride`.
-    fn new(mems: usize, stride: usize) -> Self {
-        Self {
-            stride,
-            free: vec![0.0; mems * stride],
-            busy: vec![0.0; mems * stride],
-            used: vec![false; mems * stride],
+    fn clear(&mut self) {
+        for row in &mut self.slot_of {
+            row.clear();
         }
+        self.free.clear();
+        self.busy.clear();
+        self.used.clear();
     }
 
-    fn slot(&self, (mem, port): (MemoryId, PortId)) -> usize {
-        mem.0 * self.stride + port
+    /// The slot of `(mem, port)`, allocating one on first sight.
+    fn slot(&mut self, (mem, port): (MemoryId, PortId)) -> u32 {
+        if self.slot_of.len() <= mem.0 {
+            self.slot_of.resize_with(mem.0 + 1, Vec::new);
+        }
+        let row = &mut self.slot_of[mem.0];
+        if row.len() <= port {
+            row.resize(port + 1, NONE);
+        }
+        if row[port] == NONE {
+            row[port] = u32::try_from(self.free.len()).expect("few ports");
+            self.free.push(0.0);
+            self.busy.push(0.0);
+            self.used.push(false);
+        }
+        row[port]
     }
 
+    /// Busy time of every used port, memory-major.
     fn report(&self) -> Vec<PortBusy> {
-        (0..self.used.len())
-            .filter(|&s| self.used[s])
-            .map(|s| PortBusy {
-                mem: MemoryId(s / self.stride),
-                port: s % self.stride,
-                busy_cycles: self.busy[s],
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.free.len());
+        for (mem, row) in self.slot_of.iter().enumerate() {
+            for (port, &s) in row.iter().enumerate() {
+                if s != NONE && self.used[s as usize] {
+                    out.push(PortBusy {
+                        mem: MemoryId(mem),
+                        port,
+                        busy_cycles: self.busy[s as usize],
+                    });
+                }
+            }
+        }
+        out
     }
 }
 
-/// The engine: one body behind [`run`] and [`run_traced`].
-fn execute(schedule: &Schedule, mut trace: Option<&mut Trace>) -> SimReport {
-    let transfers = &schedule.transfers;
-    let total = schedule.total_cycles;
-    assert!(
-        (transfers.len() as u64) < 1 << ID_BITS,
-        "schedule too long for the start key"
-    );
+/// What starting one transfer needs.
+#[derive(Clone, Copy)]
+struct Node {
+    /// Cycles the transfer occupies its ports.
+    dur: f64,
+    /// Source and destination port slots.
+    slots: [u32; 2],
+    /// Dependencies, `NONE`-padded.
+    deps: [u32; 2],
+}
 
-    // One pass: start keys, deadline keys `(need_cycle, id)` packed the
-    // same way, and the port-id extents.
-    let mut starts: Vec<u128> = Vec::with_capacity(transfers.len());
-    let mut needs: Vec<u128> = Vec::with_capacity(transfers.len());
-    let (mut mems, mut stride) = (0, 0);
-    for t in transfers {
-        // Transfers ready after the last compute boundary never start.
-        if t.ready_cycle <= total {
-            starts.push(start_key(t));
-            for (mem, port) in t.ports {
-                mems = mems.max(mem.0 + 1);
-                stride = stride.max(port + 1);
-            }
+/// What the engine needs of a schedule, by id, plus the execution state.
+/// Every vector keeps its capacity across simulations (see the module
+/// docs on the arena).
+#[derive(Default)]
+pub(crate) struct Plan {
+    /// Per id: what starting the transfer needs.
+    nodes: Vec<Node>,
+    /// Indexed by [`stream_index`].
+    streams: Vec<Stream>,
+    ports: PortTable,
+    /// Completion time per id (NaN = not started yet).
+    done: Vec<f64>,
+    /// Deadlines due at the current boundary.
+    due: Vec<u32>,
+}
+
+impl Sink for Plan {
+    fn push(&mut self, t: Transfer) -> usize {
+        let id = self.nodes.len();
+        let id32 = u32::try_from(id)
+            .ok()
+            .filter(|&i| i != NONE)
+            .expect("schedule too long for 32-bit ids");
+        let s = stream_index(&t);
+        if self.streams.len() <= s {
+            self.streams.resize_with(s + 1, Stream::default);
         }
-        if t.need_cycle != u64::MAX && t.need_cycle <= total {
-            needs.push((u128::from(t.need_cycle) << 64) | t.id as u128);
+        let stream = &mut self.streams[s];
+        stream.starts.push(t.ready_cycle, id32);
+        if t.need_cycle != u64::MAX {
+            stream.needs.push(t.need_cycle, id32);
+        }
+        let link = (t.ports, t.bits, t.link_bw);
+        let (slots, dur) = match stream.link {
+            Some((l, slots, dur)) if l == link => (slots, dur),
+            _ => {
+                let slots = t.ports.map(|p| self.ports.slot(p));
+                stream.link = Some((link, slots, t.duration()));
+                (slots, t.duration())
+            }
+        };
+        let mut deps = [NONE; 2];
+        for (d, &dep) in deps.iter_mut().zip(t.deps.iter()) {
+            *d = u32::try_from(dep).expect("dependencies precede");
+        }
+        self.nodes.push(Node { dur, slots, deps });
+        id
+    }
+}
+
+impl Plan {
+    fn clear(&mut self) {
+        self.nodes.clear();
+        for s in &mut self.streams {
+            s.starts.clear();
+            s.needs.clear();
+            s.link = None;
+        }
+        self.ports.clear();
+    }
+
+    /// Room for `n` more transfers in the per-id table.
+    fn reserve(&mut self, n: usize) {
+        self.nodes.reserve(n);
+    }
+
+    /// Pushes every transfer of a materialized schedule (ids = indices).
+    fn fill(&mut self, schedule: &Schedule) {
+        self.reserve(schedule.transfers.len());
+        for t in &schedule.transfers {
+            self.push(t.clone());
         }
     }
-    // Generation order leaves long ascending runs per (operand, level),
-    // which the stable sort merges instead of re-sorting.
-    starts.sort();
-    needs.sort();
-    let mut ports = PortTable::new(mems, stride);
+}
 
-    let id_mask = (1u128 << ID_BITS) - 1;
+/// The engine: one body behind [`run`], [`run_traced`] and the
+/// simulator's lowered path. `trace` also carries the transfers the
+/// trace events describe.
+fn execute(plan: &mut Plan, total: u64, mut trace: Option<(&mut Trace, &[Transfer])>) -> SimReport {
+    let Plan {
+        nodes,
+        streams,
+        ports,
+        done,
+        due,
+    } = plan;
+    let n = nodes.len();
+    done.clear();
+    done.resize(n, f64::NAN);
+
+    // Open a cursor on every non-empty run, sorted.
+    let mut starts: Vec<Cursor> = Vec::with_capacity(streams.len());
+    let mut needs: Vec<Cursor> = Vec::with_capacity(streams.len());
+    for (i, s) in streams.iter_mut().enumerate() {
+        starts.extend(Cursor::new(i, s.starts.sorted()));
+        needs.extend(Cursor::new(i, s.needs.sorted()));
+    }
+    starts.sort_unstable_by_key(|c| run_order(c.stream));
+
     let mut wall: f64 = 0.0;
     let mut prev_cycle: u64 = 0;
     let mut stall: f64 = 0.0;
     let mut preload: f64 = 0.0;
-    // NaN = not started yet.
-    let mut done: Vec<f64> = vec![f64::NAN; transfers.len()];
-    let (mut si, mut ni) = (0, 0);
+    let mut last_done: f64 = 0.0;
+    // The first boundary: the earliest head, never past the end of
+    // compute (entries beyond it never start, nor block).
+    let mut cycle = starts
+        .iter()
+        .chain(needs.iter())
+        .map(|c| c.head)
+        .min()
+        .unwrap_or(u64::MAX)
+        .min(total);
 
     loop {
-        // The next boundary: the earliest pending start or deadline, and
-        // never past the end of compute.
-        let next_start = starts.get(si).map_or(u64::MAX, |&k| (k >> 64) as u64);
-        let next_need = needs.get(ni).map_or(u64::MAX, |&k| (k >> 64) as u64);
-        let cycle = next_start.min(next_need).min(total);
         // Compute advances freely between boundaries.
         wall += (cycle - prev_cycle) as f64;
         prev_cycle = cycle;
+        let mut next = u64::MAX;
         // Starts first: transfers become eligible the moment compute
         // arrives (a zero-window transfer — ready == need — starts here
         // and immediately stalls compute below).
-        while let Some(&key) = starts.get(si).filter(|&&k| (k >> 64) as u64 == cycle) {
-            si += 1;
-            let id = (key & id_mask) as usize;
-            let t = &transfers[id];
-            let slots = t.ports.map(|p| ports.slot(p));
-            let mut start = wall;
-            for &dep in &t.deps {
-                let d = done[dep];
-                assert!(!d.is_nan(), "dependencies are scheduled first");
-                start = start.max(d);
+        for c in starts.iter_mut() {
+            while c.head == cycle {
+                let id = c.advance() as usize;
+                let node = nodes[id];
+                let mut start = wall;
+                for dep in node.deps {
+                    if dep != NONE {
+                        let d = done[dep as usize];
+                        assert!(!d.is_nan(), "dependencies are scheduled first");
+                        start = later(start, d);
+                    }
+                }
+                let pair = node.slots.map(|s| s as usize);
+                for s in pair {
+                    start = later(start, ports.free[s]);
+                }
+                let finish = start + node.dur;
+                for s in pair {
+                    ports.free[s] = finish;
+                    ports.busy[s] += node.dur;
+                    ports.used[s] = true;
+                }
+                done[id] = finish;
+                last_done = later(last_done, finish);
+                if let Some((tr, transfers)) = trace.as_mut() {
+                    let t = &transfers[id];
+                    tr.events.push(TraceEvent {
+                        operand: t.operand,
+                        kind: t.kind,
+                        level: t.level,
+                        period: t.period,
+                        start,
+                        end: finish,
+                        ports: t.ports,
+                    });
+                }
             }
-            for &s in &slots {
-                start = start.max(ports.free[s]);
-            }
-            let dur = t.bits as f64 / t.link_bw as f64;
-            let finish = start + dur;
-            for &s in &slots {
-                ports.free[s] = finish;
-                ports.busy[s] += dur;
-                ports.used[s] = true;
-            }
-            done[id] = finish;
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.events.push(TraceEvent {
-                    operand: t.operand,
-                    kind: t.kind,
-                    level: t.level,
-                    period: t.period,
-                    start,
-                    end: finish,
-                    ports: t.ports,
-                });
-            }
+            next = next.min(c.head);
         }
-        // Deadlines: compute may not pass this boundary until met.
-        while let Some(&key) = needs.get(ni).filter(|&&k| (k >> 64) as u64 == cycle) {
-            ni += 1;
-            let d = done[(key & id_mask) as usize];
+        // Deadlines: compute may not pass this boundary until met; across
+        // runs they are enforced in id order.
+        due.clear();
+        for c in needs.iter_mut() {
+            while c.head == cycle {
+                due.push(c.advance());
+            }
+            next = next.min(c.head);
+        }
+        due.sort_unstable();
+        for &id in due.iter() {
+            let d = done[id as usize];
             assert!(
                 !d.is_nan(),
                 "needed transfer was scheduled at or before its deadline"
@@ -239,7 +508,7 @@ fn execute(schedule: &Schedule, mut trace: Option<&mut Trace>) -> SimReport {
                 if cycle == 0 {
                     preload += s;
                 }
-                if let Some(tr) = trace.as_deref_mut() {
+                if let Some((tr, _)) = trace.as_mut() {
                     tr.stalls.push((wall, d));
                 }
                 wall = d;
@@ -248,26 +517,25 @@ fn execute(schedule: &Schedule, mut trace: Option<&mut Trace>) -> SimReport {
         if cycle == total {
             break;
         }
+        cycle = next.min(total);
     }
 
-    // Drain tail: the layer finishes when the last transfer lands
-    // (`f64::max` skips the NaN of never-started transfers).
+    // Drain tail: the layer finishes when the last transfer lands.
     let compute_end = wall;
-    let last_done = done.iter().copied().fold(0.0f64, f64::max);
-    let total = compute_end.max(last_done);
-    let total_cycles = total.ceil() as u64;
-    let tail_cycles = (total - compute_end).round() as u64;
+    let end = compute_end.max(last_done);
+    let total_cycles = end.ceil() as u64;
+    let tail_cycles = (end - compute_end).round() as u64;
 
-    if let Some(tr) = trace {
-        tr.total = total;
+    if let Some((tr, _)) = trace {
+        tr.total = end;
     }
     SimReport {
         total_cycles,
-        compute_cycles: schedule.total_cycles,
+        compute_cycles: total,
         stall_cycles: stall.round() as u64,
         preload_cycles: preload.round() as u64,
         tail_cycles,
-        transfers: transfers.len() as u64,
+        transfers: n as u64,
         ports: ports.report(),
     }
 }
@@ -353,6 +621,84 @@ mod tests {
         assert_eq!(report.stall_cycles, 0);
         assert_eq!(report.ports[0].busy_cycles, 24.0);
         assert_eq!(report.ports.len(), 7);
+    }
+
+    /// A level-0 refill of `operand` on its own port pair, `period` = id.
+    fn refill(
+        id: usize,
+        operand: Operand,
+        ready_cycle: u64,
+        need_cycle: u64,
+        bits: u64,
+        ports: [(MemoryId, PortId); 2],
+    ) -> Transfer {
+        Transfer {
+            id,
+            operand,
+            kind: TransferKind::Refill,
+            level: 0,
+            period: id as u64,
+            ready_cycle,
+            need_cycle,
+            bits,
+            link_bw: 1,
+            ports,
+            deps: Deps::default(),
+        }
+    }
+
+    #[test]
+    fn out_of_order_run_starts_in_ready_order() {
+        // One stream listed out of ready order, serialized on one port:
+        // the run is sorted on entry, so starts follow (ready, id).
+        let shared = [(MemoryId(0), 0), (MemoryId(1), 0)];
+        let transfers = [5, 1, 3, 1]
+            .into_iter()
+            .enumerate()
+            .map(|(id, ready)| refill(id, Operand::W, ready, u64::MAX, 2, shared))
+            .collect();
+        let schedule = Schedule {
+            transfers,
+            total_cycles: 10,
+        };
+        let (report, trace) = run_traced(&schedule);
+        let order: Vec<(u64, f64, f64)> = trace
+            .events
+            .iter()
+            .map(|e| (e.period, e.start, e.end))
+            .collect();
+        assert_eq!(
+            order,
+            [(1, 1.0, 3.0), (3, 3.0, 5.0), (2, 5.0, 7.0), (0, 7.0, 9.0)]
+        );
+        assert_eq!(report.total_cycles, 10);
+        assert_eq!(report.stall_cycles, 0);
+        assert_eq!(report, run(&schedule));
+    }
+
+    #[test]
+    fn deadlines_at_one_boundary_are_enforced_in_id_order() {
+        // Two deadlines at cycle 5 from different runs. The W run comes
+        // first in stream order but holds the higher id; enforcing in id
+        // order stalls 5 -> 9 (id 0) and then 9 -> 12 (id 1), where
+        // stream order would record one stall 5 -> 12.
+        let transfers = vec![
+            refill(0, Operand::I, 5, 5, 4, [(MemoryId(0), 0), (MemoryId(1), 0)]),
+            refill(1, Operand::W, 5, 5, 7, [(MemoryId(2), 0), (MemoryId(3), 0)]),
+        ];
+        let schedule = Schedule {
+            transfers,
+            total_cycles: 10,
+        };
+        let (report, trace) = run_traced(&schedule);
+        assert_eq!(trace.stalls, [(5.0, 9.0), (9.0, 12.0)]);
+        // Same-cycle starts: W before I.
+        let periods: Vec<u64> = trace.events.iter().map(|e| e.period).collect();
+        assert_eq!(periods, [1, 0]);
+        assert_eq!(report.stall_cycles, 7);
+        assert_eq!(report.preload_cycles, 0);
+        assert_eq!(report.total_cycles, 17);
+        assert_eq!(report.tail_cycles, 0);
     }
 
     #[test]

@@ -53,6 +53,7 @@ pub use schedule::{
 pub use trace::{Trace, TraceEvent};
 
 use ulm_mapping::MappedLayer;
+use ulm_model::{DtlOptions, LoweredLayer};
 
 /// The reference simulator with its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,14 +84,17 @@ impl Simulator {
     /// Returns [`ScheduleTooLarge`] when the mapping would generate more
     /// than [`max_transfers`](Self::max_transfers) block transfers.
     pub fn simulate(&self, view: &MappedLayer<'_>) -> Result<SimReport, ScheduleTooLarge> {
-        let schedule = schedule::build_schedule(view, self.max_transfers)?;
-        Ok(engine::run(&schedule))
+        self.simulate_lowered(view, &LoweredLayer::build(view, DtlOptions::default()))
     }
 
     /// Like [`simulate`](Self::simulate), but reads an already-lowered
     /// layer instead of re-lowering the view — use this to share one
-    /// [`ulm_model::LoweredLayer`] between the analytical model, the
-    /// energy model and the simulator.
+    /// [`LoweredLayer`] between the analytical model, the energy model
+    /// and the simulator.
+    ///
+    /// The schedule goes straight into the engine's per-thread arena; it
+    /// is never materialized as a [`Schedule`] (use
+    /// [`build_schedule_lowered`] to inspect one).
     ///
     /// # Errors
     ///
@@ -98,10 +102,9 @@ impl Simulator {
     pub fn simulate_lowered(
         &self,
         view: &MappedLayer<'_>,
-        lowered: &ulm_model::LoweredLayer,
+        lowered: &LoweredLayer,
     ) -> Result<SimReport, ScheduleTooLarge> {
-        let schedule = schedule::build_schedule_lowered(view, lowered, self.max_transfers)?;
-        Ok(engine::run(&schedule))
+        engine::simulate_lowered(view, lowered, self.max_transfers)
     }
 
     /// Like [`simulate`](Self::simulate), but also records the full

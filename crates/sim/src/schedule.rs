@@ -9,7 +9,7 @@
 //! port availability. This independence is what makes the model-vs-sim
 //! comparison a meaningful validation.
 
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 use ulm_arch::{MemoryId, PortId, PortUse};
 use ulm_mapping::MappedLayer;
 use ulm_model::{DtlOptions, LoweredLayer};
@@ -104,9 +104,26 @@ pub struct Transfer {
 }
 
 impl Transfer {
-    /// Cycles the transfer occupies its ports.
-    pub fn duration(&self) -> u64 {
-        self.bits.div_ceil(self.link_bw)
+    /// Cycles the transfer occupies its ports. Fractional: consecutive
+    /// beats pack on the bus, so a 768-bit block on a 512-bit link takes
+    /// 1.5 cycles, not 2.
+    pub fn duration(&self) -> f64 {
+        self.bits as f64 / self.link_bw as f64
+    }
+}
+
+/// Where the schedule builder puts the transfers it emits, in id order.
+pub(crate) trait Sink {
+    /// Appends `t` under the next dense id (ignoring `t.id`) and returns
+    /// that id.
+    fn push(&mut self, t: Transfer) -> usize;
+}
+
+impl Sink for Vec<Transfer> {
+    fn push(&mut self, t: Transfer) -> usize {
+        let id = self.len();
+        Vec::push(self, Transfer { id, ..t });
+        id
     }
 }
 
@@ -169,13 +186,24 @@ pub fn build_schedule_lowered(
     lowered: &LoweredLayer,
     cap: u64,
 ) -> Result<Schedule, ScheduleTooLarge> {
-    let h = view.arch().hierarchy();
-    let layer = view.layer();
-    let total = lowered.cc_spatial();
+    let est = estimate(lowered, cap)?;
+    // The estimate bounds the count from above and has passed the cap;
+    // reserving it up front saves the growth copies (untouched capacity
+    // is never paged in).
+    let mut transfers: Vec<Transfer> =
+        Vec::with_capacity(usize::try_from(est).unwrap_or(usize::MAX));
+    emit(view, lowered, &mut transfers);
+    Ok(Schedule {
+        transfers,
+        total_cycles: lowered.cc_spatial(),
+    })
+}
 
-    // Pre-flight size check using the exact refill counts. Interfaces
-    // above a residency pin (KV-cache, fused intermediates) move nothing.
-    // Saturating: a wrapped estimate could slip under the cap.
+/// Pre-flight size check: an upper bound on the transfer count from the
+/// exact refill counts, refused if it exceeds `cap`. Interfaces above a
+/// residency pin (KV-cache, fused intermediates) move nothing.
+/// Saturating: a wrapped estimate could slip under the cap.
+pub(crate) fn estimate(lowered: &LoweredLayer, cap: u64) -> Result<u64, ScheduleTooLarge> {
     let mut est: u64 = 0;
     for op in Operand::all() {
         for level in 0..lowered.active_interfaces(op) {
@@ -189,12 +217,19 @@ pub fn build_schedule_lowered(
             cap,
         });
     }
+    Ok(est)
+}
 
-    // The estimate bounds the count from above and has passed the cap;
-    // reserving it up front saves the growth copies (untouched capacity
-    // is never paged in).
-    let mut transfers: Vec<Transfer> =
-        Vec::with_capacity(usize::try_from(est).unwrap_or(usize::MAX));
+/// The one schedule builder: emits every transfer of the lowered layer
+/// into `sink`, in id order. Within one `(operand, level, kind)` stream
+/// the transfers come out in `(ready_cycle, id)` order and, among those
+/// compute blocks on, in `(need_cycle, id)` order — the engine relies on
+/// these runs being presorted. Transfers are built with `id: 0`; the sink
+/// stamps the real one.
+pub(crate) fn emit<S: Sink>(view: &MappedLayer<'_>, lowered: &LoweredLayer, sink: &mut S) {
+    let h = view.arch().hierarchy();
+    let layer = view.layer();
+    let total = lowered.cc_spatial();
 
     // Build top-down so a lower level can reference its upper level's
     // covering transfers.
@@ -205,9 +240,11 @@ pub fn build_schedule_lowered(
             continue;
         }
         let op_bits = layer.precision().bits(op);
-        // The refills of the level above the current one (W/I): their
-        // periods are the run starts of that level's covering, in order.
-        let mut upper_refills: Range<usize> = 0..0;
+        // The refills of the level above the current one (W/I): the id
+        // of the first, and their need cycles — where each of that
+        // level's covering runs starts, in order.
+        let mut upper_first = 0;
+        let mut upper_needs: Vec<u64> = Vec::new();
         for level in (0..active).rev() {
             let lower = chain[level];
             let upper = chain[level + 1];
@@ -227,11 +264,17 @@ pub fn build_schedule_lowered(
                     let (wp, wbw) = h.port(lower, op, PortUse::WriteIn);
                     let (rp, rbw) = h.port(upper, op, PortUse::ReadOut);
                     let link_bw = wbw.min(rbw);
-                    let up_period = lowered.level(op, level + 1).period;
-                    // Monotone cursor into `upper_refills`: the refill whose
+                    // Monotone cursor into `upper_needs`: the refill whose
                     // run covers the current need cycle.
-                    let mut cover = upper_refills.start;
-                    let first = transfers.len();
+                    let mut cover = 0;
+                    let mut first = None;
+                    // Only a level with a level below records its needs.
+                    let record = level > 0;
+                    let mut needs = Vec::with_capacity(if record {
+                        usize::try_from(row.refills).unwrap_or(0)
+                    } else {
+                        0
+                    });
                     let mut last_region = None;
                     for (j, region) in (0..z).zip(lowered.regions(op, level)) {
                         if last_region == Some(region) {
@@ -248,16 +291,15 @@ pub fn build_schedule_lowered(
                         // this period must already have arrived.
                         let mut deps = Deps::default();
                         if !upper_is_top {
-                            let jj = need_cycle / up_period;
-                            while cover + 1 < upper_refills.end && transfers[cover + 1].period <= jj
+                            while cover + 1 < upper_needs.len()
+                                && upper_needs[cover + 1] <= need_cycle
                             {
                                 cover += 1;
                             }
-                            deps.push(cover);
+                            deps.push(upper_first + cover);
                         }
-                        let id = transfers.len();
-                        transfers.push(Transfer {
-                            id,
+                        let id = sink.push(Transfer {
+                            id: 0,
                             operand: op,
                             kind: TransferKind::Refill,
                             level,
@@ -269,8 +311,13 @@ pub fn build_schedule_lowered(
                             ports: [(upper, rp), (lower, wp)],
                             deps,
                         });
+                        first.get_or_insert(id);
+                        if record {
+                            needs.push(need_cycle);
+                        }
                     }
-                    upper_refills = first..transfers.len();
+                    upper_first = first.expect("every level refills at least once");
+                    upper_needs = needs;
                 }
                 Operand::O => {
                     // A replicated output register file is a reduction /
@@ -318,9 +365,8 @@ pub fn build_schedule_lowered(
                                 }
                                 j * period
                             };
-                            let id = transfers.len();
-                            transfers.push(Transfer {
-                                id,
+                            sink.push(Transfer {
+                                id: 0,
                                 operand: op,
                                 kind: TransferKind::Readback,
                                 level,
@@ -358,11 +404,8 @@ pub fn build_schedule_lowered(
                             } else {
                                 need_cycle
                             };
-                            let id = transfers.len();
-                            last_drain_of_region[region as usize] = id;
-                            prev_drain = Some(id);
-                            transfers.push(Transfer {
-                                id,
+                            let id = sink.push(Transfer {
+                                id: 0,
                                 operand: op,
                                 kind: TransferKind::Drain,
                                 level,
@@ -374,17 +417,14 @@ pub fn build_schedule_lowered(
                                 ports: [(lower, drp), (upper, dwp)],
                                 deps: Deps::default(),
                             });
+                            last_drain_of_region[region as usize] = id;
+                            prev_drain = Some(id);
                         }
                     }
                 }
             }
         }
     }
-
-    Ok(Schedule {
-        transfers,
-        total_cycles: total,
-    })
 }
 
 #[cfg(test)]
@@ -573,7 +613,9 @@ mod tests {
         let s = build_schedule(&view, 1 << 20).unwrap();
         for t in &s.transfers {
             assert!(t.ready_cycle <= t.need_cycle, "{t:?}");
-            assert!(t.duration() > 0);
+            // Fractional: packed beats, never more than whole beats.
+            let d = t.duration();
+            assert!(d > 0.0 && d <= t.bits.div_ceil(t.link_bw) as f64, "{t:?}");
             for &d in &t.deps {
                 assert!(d < t.id, "deps must precede: {t:?}");
             }

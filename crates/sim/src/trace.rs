@@ -30,7 +30,9 @@ pub struct TraceEvent {
 /// A recorded execution: transfers plus compute-stall intervals.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
-    /// Executed transfers in schedule order.
+    /// Executed transfers in start order: by start boundary, and within
+    /// one boundary in the engine's documented tie-break (see
+    /// [`crate::engine`]).
     pub events: Vec<TraceEvent>,
     /// Wall-clock intervals during which computation was stalled.
     pub stalls: Vec<(f64, f64)>,

@@ -46,6 +46,16 @@ echo "==> simulator gates (release: unit tests, golden SimReport bits, sim propt
 cargo test --release -q -p ulm-sim
 cargo test --release -q -p ulm --test sim_props --test model_vs_sim_prop
 
+echo "==> validate smoke (Fig. 5 model-vs-sim mean accuracy through the CLI)"
+# Pins the paper's accuracy result end to end: search, model and
+# simulator together must reproduce the recorded mean to the last bit.
+validate_mean="$(target/release/ulm validate --json |
+    sed -nE 's/.*"mean_accuracy_pct": *([0-9.eE+-]+).*/\1/p')"
+if [[ "$validate_mean" != "96.36859905035502" ]]; then
+    echo "error: ulm validate mean accuracy is '${validate_mean}', expected 96.36859905035502" >&2
+    exit 1
+fi
+
 echo "==> surrogate-vs-evaluate_fast differential proptests (release)"
 cargo test --release -q -p ulm --test surrogate_props
 

@@ -1,8 +1,10 @@
 //! Property tests for the reference simulator: determinism, bandwidth
-//! monotonicity and conservation laws.
+//! monotonicity, conservation laws and agreement of its entry points.
 
 use proptest::prelude::*;
+use ulm::model::DtlOptions;
 use ulm::prelude::*;
+use ulm::sim::{build_schedule_lowered, engine};
 
 /// A case-study chip variant with configurable GB bandwidth, plus a layer
 /// and a shuffled loop ordering.
@@ -104,5 +106,27 @@ proptest! {
         }
         let stall_sum: f64 = trace.stalls.iter().map(|(a, b)| b - a).sum();
         prop_assert!((stall_sum - traced.stall_cycles as f64).abs() < 1.0);
+    }
+
+    #[test]
+    fn entry_points_agree((b, k, c, stack) in arb_case()) {
+        // The arena path, the materialized schedule and the traced run
+        // must report the same bits.
+        let arch = presets::case_study_chip(96);
+        let layer = Layer::matmul("p", b, k, c, Precision::int8_acc24());
+        let spatial = SpatialUnroll::new(vec![(Dim::K, 16), (Dim::B, 8), (Dim::C, 2)]);
+        let Ok(mapping) = Mapping::with_greedy_alloc(
+            &arch, &layer, spatial, LoopStack::from_pairs(&stack))
+        else { return Ok(()); };
+        let Ok(view) = MappedLayer::new(&layer, &arch, &mapping) else { return Ok(()); };
+        let sim = Simulator::new();
+        let lowered = LoweredLayer::build(&view, DtlOptions::default());
+        let Ok(arena) = sim.simulate_lowered(&view, &lowered) else { return Ok(()); };
+        let schedule = build_schedule_lowered(&view, &lowered, sim.max_transfers)
+            .expect("same cap");
+        prop_assert_eq!(&arena, &engine::run(&schedule));
+        let (traced, trace) = sim.simulate_traced(&view).expect("same cap");
+        prop_assert_eq!(&arena, &traced);
+        prop_assert_eq!(trace.events.len() as u64, arena.transfers);
     }
 }
