@@ -3,8 +3,9 @@
 
 use crate::pool::{build_design, DesignParams, DesignPoint};
 use ulm_arch::AreaModel;
+use ulm_mapper::fork_join::map_each;
 pub use ulm_mapper::SearchStats;
-use ulm_mapper::{Mapper, MapperError, MapperOptions, Objective};
+use ulm_mapper::{Mapper, MapperError, MapperOptions, Objective, SearchResult};
 use ulm_mapping::MappedLayer;
 use ulm_model::{
     InputDelta, LatencyModel, MappingShape, ModelScratch, RebuildStats, SpecializedModel,
@@ -34,15 +35,17 @@ pub struct ExploreOptions {
     pub mapper: MapperOptions,
     /// Area-model parameters.
     pub area: AreaModel,
-    /// Worker threads for [`explore`]: `None` or `Some(1)` evaluates
-    /// serially; `Some(n)` splits the design list across `n` threads.
-    /// Results are merged in design order, so the output is identical for
-    /// every thread count.
+    /// Worker threads for [`explore`] and the sweeps: `None` or `Some(1)`
+    /// evaluates serially; `Some(n)` splits the design list across `n`
+    /// threads, capped at [`MAX_THREADS`](ulm_mapper::MAX_THREADS) per
+    /// call. Results are merged in design order, so the output is
+    /// identical for every thread count.
     pub parallelism: Option<usize>,
     /// Worker threads *within* each design's ordering search (routed to
-    /// [`Mapper::with_parallelism`]). Useful when the design list is
-    /// short but each mapping space is large; the per-design result is
-    /// identical at every setting.
+    /// [`Mapper::with_parallelism`], so also capped at
+    /// [`MAX_THREADS`](ulm_mapper::MAX_THREADS) per search). Useful when
+    /// the design list is short but each mapping space is large; the
+    /// per-design result is identical at every setting.
     pub mapping_parallelism: Option<usize>,
     /// SoA lane count for each design's ordering search (routed to
     /// [`Mapper::with_batch_lanes`]). `None` uses the mapper default; the
@@ -97,16 +100,35 @@ pub fn evaluate_design(
     evaluate_design_counted(design, layer, opts).map(|(p, _)| p)
 }
 
+/// The latency-optimal mapping search every DSE entry point runs per
+/// design, under `opts`' mapper settings, threads and lane count.
+fn search_design(
+    design: &DesignPoint,
+    layer: &Layer,
+    opts: &ExploreOptions,
+) -> Result<SearchResult, MapperError> {
+    Mapper::new(&design.arch, layer, design.spatial.clone())
+        .with_options(opts.mapper)
+        .with_parallelism(opts.mapping_parallelism)
+        .with_batch_lanes(opts.batch_lanes)
+        .search(Objective::Latency)
+}
+
+/// The latency model matching `opts.mapper.bw_aware`.
+fn latency_model(opts: &ExploreOptions) -> LatencyModel {
+    if opts.mapper.bw_aware {
+        LatencyModel::new()
+    } else {
+        LatencyModel::bw_unaware()
+    }
+}
+
 fn evaluate_design_counted(
     design: &DesignPoint,
     layer: &Layer,
     opts: &ExploreOptions,
 ) -> Result<(DsePoint, SearchStats), MapperError> {
-    let mapper = Mapper::new(&design.arch, layer, design.spatial.clone())
-        .with_options(opts.mapper)
-        .with_parallelism(opts.mapping_parallelism)
-        .with_batch_lanes(opts.batch_lanes);
-    let result = mapper.search(Objective::Latency)?;
+    let result = search_design(design, layer, opts)?;
     let h = design.arch.hierarchy();
     let exclude: Vec<_> = h.find("GB").into_iter().collect();
     let area_mm2 = opts.area.total_mm2(&design.arch, &exclude);
@@ -142,24 +164,9 @@ pub fn explore_with_stats(
     opts: &ExploreOptions,
 ) -> (Vec<DsePoint>, DseStats) {
     let t0 = std::time::Instant::now();
-    let threads = opts.parallelism.unwrap_or(1).clamp(1, designs.len().max(1));
-    let mut slots: Vec<Option<(DsePoint, SearchStats)>> = vec![None; designs.len()];
-    if threads <= 1 {
-        for (d, slot) in designs.iter().zip(slots.iter_mut()) {
-            *slot = evaluate_design_counted(d, layer, opts).ok();
-        }
-    } else {
-        let chunk = designs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (d_chunk, s_chunk) in designs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (d, slot) in d_chunk.iter().zip(s_chunk.iter_mut()) {
-                        *slot = evaluate_design_counted(d, layer, opts).ok();
-                    }
-                });
-            }
-        });
-    }
+    let slots = map_each(designs, opts.parallelism.unwrap_or(1), |d| {
+        evaluate_design_counted(d, layer, opts).ok()
+    });
     let mut stats = DseStats {
         designs: designs.len(),
         ..DseStats::default()
@@ -229,24 +236,9 @@ pub fn explore_bw_sweep(
         "bandwidth sweep needs at least one value"
     );
     let t0 = std::time::Instant::now();
-    let threads = opts.parallelism.unwrap_or(1).clamp(1, designs.len().max(1));
-    let mut slots: Vec<Option<DesignSweep>> = vec![None; designs.len()];
-    if threads <= 1 {
-        for (d, slot) in designs.iter().zip(slots.iter_mut()) {
-            *slot = sweep_design(d, gb_bws, layer, opts).ok();
-        }
-    } else {
-        let chunk = designs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (d_chunk, s_chunk) in designs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (d, slot) in d_chunk.iter().zip(s_chunk.iter_mut()) {
-                        *slot = sweep_design(d, gb_bws, layer, opts).ok();
-                    }
-                });
-            }
-        });
-    }
+    let slots = map_each(designs, opts.parallelism.unwrap_or(1), |d| {
+        sweep_design(d, gb_bws, layer, opts).ok()
+    });
     let mut stats = SweepStats {
         designs: designs.len(),
         ..SweepStats::default()
@@ -278,21 +270,13 @@ fn sweep_design(
         ..design.params
     };
     let base = build_design(base_params);
-    let mapper = Mapper::new(&base.arch, layer, base.spatial.clone())
-        .with_options(opts.mapper)
-        .with_parallelism(opts.mapping_parallelism)
-        .with_batch_lanes(opts.batch_lanes);
-    let mapping = mapper.search(Objective::Latency)?.best.mapping;
+    let mapping = search_design(&base, layer, opts)?.best.mapping;
     // Area excludes GB and the swept knob is a GB port rate, so one
     // number covers every point of this design.
     let exclude: Vec<_> = base.arch.hierarchy().find("GB").into_iter().collect();
     let area_mm2 = opts.area.total_mm2(&base.arch, &exclude);
 
-    let model = if opts.mapper.bw_aware {
-        LatencyModel::new()
-    } else {
-        LatencyModel::bw_unaware()
-    };
+    let model = latency_model(opts);
     let mut scratch = ModelScratch::default();
     let mut rebuilds = RebuildStats::default();
     let mut points = Vec::with_capacity(gb_bws.len());
@@ -395,24 +379,9 @@ pub fn explore_workload_sweep(
 ) -> (Vec<WorkloadPoint>, WorkloadSweepStats) {
     assert!(!dims.is_empty(), "workload sweep needs at least one point");
     let t0 = std::time::Instant::now();
-    let threads = opts.parallelism.unwrap_or(1).clamp(1, designs.len().max(1));
-    let mut slots: Vec<Option<WorkloadSweep>> = vec![None; designs.len()];
-    if threads <= 1 {
-        for (d, slot) in designs.iter().zip(slots.iter_mut()) {
-            *slot = sweep_workload_design(d, dims, template, opts);
-        }
-    } else {
-        let chunk = designs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (d_chunk, s_chunk) in designs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (d, slot) in d_chunk.iter().zip(s_chunk.iter_mut()) {
-                        *slot = sweep_workload_design(d, dims, template, opts);
-                    }
-                });
-            }
-        });
-    }
+    let slots = map_each(designs, opts.parallelism.unwrap_or(1), |d| {
+        sweep_workload_design(d, dims, template, opts)
+    });
     let mut stats = WorkloadSweepStats {
         designs: designs.len(),
         ..WorkloadSweepStats::default()
@@ -439,18 +408,10 @@ fn sweep_workload_design(
     template: &Layer,
     opts: &ExploreOptions,
 ) -> Option<WorkloadSweep> {
-    let mapper = Mapper::new(&design.arch, template, design.spatial.clone())
-        .with_options(opts.mapper)
-        .with_parallelism(opts.mapping_parallelism)
-        .with_batch_lanes(opts.batch_lanes);
-    let mapping = mapper.search(Objective::Latency).ok()?.best.mapping;
+    let mapping = search_design(design, template, opts).ok()?.best.mapping;
     let shape = MappingShape::from_mapping(&mapping).ok()?;
-    let model = if opts.mapper.bw_aware {
-        LatencyModel::new()
-    } else {
-        LatencyModel::bw_unaware()
-    };
-    let mut spec = SpecializedModel::prepare(model, &design.arch, template, shape).ok()?;
+    let mut spec =
+        SpecializedModel::prepare(latency_model(opts), &design.arch, template, shape).ok()?;
     let mut points = Vec::with_capacity(dims.len());
     let mut infeasible = 0usize;
     for &(b, k, c) in dims {

@@ -28,13 +28,16 @@
 
 pub mod enumerate;
 pub mod factorize;
+pub mod fork_join;
 pub mod spatial_search;
 
+pub use fork_join::MAX_THREADS;
 pub use spatial_search::{search_spatial, search_spatial_with, spatial_candidates, SpatialOptions};
 
 use factorize::{ordering_count, temporal_factors, Factor};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::time::Instant;
 use ulm_arch::Architecture;
 use ulm_energy::{EnergyModel, EnergyReport, EnergyScratch};
@@ -263,18 +266,38 @@ enum FastEval {
 struct ChunkOutcome {
     /// Best `(score, ordering)` in visit order, first-strictly-better.
     best: Option<(f64, Vec<Factor>)>,
-    evaluated: usize,
-    generated: usize,
-    pruned: usize,
-    cache_hits: u64,
+    stats: SearchStats,
 }
 
 impl ChunkOutcome {
     fn consider(&mut self, score: f64, ordering: &[Factor]) {
-        self.evaluated += 1;
+        self.stats.evaluated += 1;
         let better = self.best.as_ref().map(|b| score < b.0).unwrap_or(true);
         if better {
             self.best = Some((score, ordering.to_vec()));
+        }
+    }
+}
+
+/// Where one search chunk's orderings come from. Matched once per
+/// chunk, so the per-ordering visit is a static call.
+enum Orderings<'c> {
+    /// Indices `[start, end)` of the full enumeration.
+    Range(Range<u128>),
+    /// A slice of an explicit candidate list.
+    List(&'c [Vec<Factor>]),
+}
+
+impl Orderings<'_> {
+    fn for_each(self, factors: &[Factor], mut visit: impl FnMut(&[Factor])) {
+        match self {
+            Orderings::Range(r) => {
+                enumerate::for_each_ordering_in_range(factors, r.start, r.end, |ordering| {
+                    visit(ordering);
+                    true
+                });
+            }
+            Orderings::List(candidates) => candidates.iter().for_each(|o| visit(o)),
         }
     }
 }
@@ -330,9 +353,11 @@ impl<'a> Mapper<'a> {
     }
 
     /// Splits one design's ordering search across `threads` worker
-    /// threads (`None` or `Some(1)` = serial). The result — best mapping,
+    /// threads (`None` or `Some(1)` = serial), capped at [`MAX_THREADS`]
+    /// per search however many are asked for. The result — best mapping,
     /// score, and tie-break — is identical at every thread count; only
-    /// wall time and the `pruned`/`cache_hits` statistics may differ.
+    /// wall time and the `evaluated`/`pruned`/`cache_hits` statistics may
+    /// differ, and those are the same on every machine for a given count.
     pub fn with_parallelism(mut self, threads: Option<usize>) -> Self {
         self.parallelism = threads;
         self
@@ -468,15 +493,11 @@ impl<'a> Mapper<'a> {
         match obj {
             Objective::Latency => {
                 if let Some(inc) = incumbent {
-                    // Exact bound: cc_total with the stall assumed zero.
-                    // SS >= 0 and float addition of non-negatives is
-                    // monotone, so floor >= inc implies score >= inc.
-                    if self.latency_model.phase_floor(&view) >= inc {
-                        return FastEval::Pruned;
-                    }
-                    // Roofline bound, with a tolerance margin matching
-                    // the model's documented roofline slack.
-                    if self.opts.bw_aware && roofline_bound(&view) - inc > 1e-6 + 1e-9 * inc.abs() {
+                    let floor = self.latency_model.phase_floor(&view);
+                    if self
+                        .latency_model
+                        .prunes(floor, || roofline_bound(&view), inc)
+                    {
                         return FastEval::Pruned;
                     }
                 }
@@ -502,16 +523,15 @@ impl<'a> Mapper<'a> {
         }
     }
 
-    /// Runs the fast evaluator over orderings `[start, end)` of the full
-    /// enumeration, keeping the chunk-local first-strictly-better best.
-    /// Latency searches with more than one lane run the batched SoA
-    /// kernel; the outcome sequence is identical either way.
-    fn run_enumerated_chunk(
+    /// Runs the fast evaluator over one chunk of orderings, keeping the
+    /// chunk-local first-strictly-better best. Latency searches with more
+    /// than one lane run the batched SoA kernel; the outcome sequence is
+    /// identical either way.
+    fn run_chunk(
         &self,
         factors: &[Factor],
         obj: Objective,
-        start: u128,
-        end: u128,
+        orderings: Orderings<'_>,
         lanes: usize,
     ) -> ChunkOutcome {
         let mut out = ChunkOutcome::default();
@@ -524,74 +544,28 @@ impl<'a> Mapper<'a> {
                 factors,
                 lanes,
             );
-            enumerate::for_each_ordering_in_range(factors, start, end, |ordering| {
+            orderings.for_each(factors, |ordering| {
                 if kernel.is_full() {
                     Self::drain_batch(&mut kernel, &mut out);
                 }
-                out.generated += 1;
+                out.stats.generated += 1;
                 kernel.push(ordering);
-                true
             });
             Self::drain_batch(&mut kernel, &mut out);
-            out.cache_hits = kernel.cache_hits();
+            out.stats.cache_hits = kernel.cache_hits();
             return out;
         }
         let mut scratch = EvalScratch::new(&self.spatial);
-        enumerate::for_each_ordering_in_range(factors, start, end, |ordering| {
-            out.generated += 1;
+        orderings.for_each(factors, |ordering| {
+            out.stats.generated += 1;
             let incumbent = out.best.as_ref().map(|b| b.0);
             match self.evaluate_ordering_bounded(ordering, obj, incumbent, &mut scratch) {
                 FastEval::Illegal => {}
-                FastEval::Pruned => out.pruned += 1,
+                FastEval::Pruned => out.stats.pruned += 1,
                 FastEval::Scored(score) => out.consider(score, ordering),
             }
-            true
         });
-        out.cache_hits = scratch.cache_hits;
-        out
-    }
-
-    /// Same as [`run_enumerated_chunk`](Self::run_enumerated_chunk) over
-    /// a slice of an explicit candidate list.
-    fn run_candidate_chunk(
-        &self,
-        candidates: &[Vec<Factor>],
-        obj: Objective,
-        lanes: usize,
-    ) -> ChunkOutcome {
-        let mut out = ChunkOutcome::default();
-        if lanes > 1 {
-            let factors = self.factors();
-            let mut kernel = BatchKernel::new(
-                self.arch,
-                self.layer,
-                &self.spatial,
-                self.latency_model,
-                &factors,
-                lanes,
-            );
-            for ordering in candidates {
-                if kernel.is_full() {
-                    Self::drain_batch(&mut kernel, &mut out);
-                }
-                out.generated += 1;
-                kernel.push(ordering);
-            }
-            Self::drain_batch(&mut kernel, &mut out);
-            out.cache_hits = kernel.cache_hits();
-            return out;
-        }
-        let mut scratch = EvalScratch::new(&self.spatial);
-        for ordering in candidates {
-            out.generated += 1;
-            let incumbent = out.best.as_ref().map(|b| b.0);
-            match self.evaluate_ordering_bounded(ordering, obj, incumbent, &mut scratch) {
-                FastEval::Illegal => {}
-                FastEval::Pruned => out.pruned += 1,
-                FastEval::Scored(score) => out.consider(score, ordering),
-            }
-        }
-        out.cache_hits = scratch.cache_hits;
+        out.stats.cache_hits = scratch.cache_hits;
         out
     }
 
@@ -603,7 +577,7 @@ impl<'a> Mapper<'a> {
         kernel.drain(incumbent, |ordering, outcome| {
             match outcome {
                 LaneOutcome::Illegal => {}
-                LaneOutcome::Pruned => out.pruned += 1,
+                LaneOutcome::Pruned => out.stats.pruned += 1,
                 LaneOutcome::Scored(score) => out.consider(score, ordering),
             }
             out.best.as_ref().map(|b| b.0)
@@ -634,34 +608,14 @@ impl<'a> Mapper<'a> {
         let factors = self.factors();
         let space_size = ordering_count(&factors);
         let exhaustive = space_size <= self.opts.max_exhaustive;
-        let threads = self.parallelism.unwrap_or(1).max(1);
+        let threads = self.parallelism.unwrap_or(1);
         let lanes = self.effective_batch_lanes(obj);
 
+        let run = |orderings: Orderings<'_>| self.run_chunk(&factors, obj, orderings, lanes);
         let outcomes: Vec<ChunkOutcome> = if exhaustive {
             // Don't bother spawning for trivially small spaces.
-            let threads = if space_size < 256 { 1 } else { threads as u128 };
-            if threads <= 1 {
-                vec![self.run_enumerated_chunk(&factors, obj, 0, space_size, lanes)]
-            } else {
-                let per = space_size.div_ceil(threads);
-                let ranges: Vec<(u128, u128)> = (0..threads)
-                    .map(|t| (per * t, (per * (t + 1)).min(space_size)))
-                    .filter(|(a, b)| a < b)
-                    .collect();
-                let factors = &factors;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = ranges
-                        .iter()
-                        .map(|&(a, b)| {
-                            s.spawn(move || self.run_enumerated_chunk(factors, obj, a, b, lanes))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("search worker panicked"))
-                        .collect()
-                })
-            }
+            let threads = if space_size < 256 { 1 } else { threads };
+            fork_join::map_ranges(space_size, threads, |range| run(Orderings::Range(range)))
         } else {
             // Seed with the canonical stationary dataflows, then sample.
             let mut candidates = enumerate::seeded_orderings(&factors);
@@ -670,21 +624,8 @@ impl<'a> Mapper<'a> {
                 self.opts.samples,
                 self.opts.seed,
             ));
-            if threads <= 1 || candidates.len() < 32 {
-                vec![self.run_candidate_chunk(&candidates, obj, lanes)]
-            } else {
-                let per = candidates.len().div_ceil(threads);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = candidates
-                        .chunks(per)
-                        .map(|chunk| s.spawn(move || self.run_candidate_chunk(chunk, obj, lanes)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("search worker panicked"))
-                        .collect()
-                })
-            }
+            let threads = if candidates.len() < 32 { 1 } else { threads };
+            fork_join::map_chunks(&candidates, threads, |chunk| run(Orderings::List(chunk)))
         };
 
         // Deterministic merge: chunks cover contiguous, increasing index
@@ -696,10 +637,7 @@ impl<'a> Mapper<'a> {
         };
         let mut winner: Option<(f64, Vec<Factor>)> = None;
         for out in outcomes {
-            stats.generated += out.generated;
-            stats.evaluated += out.evaluated;
-            stats.pruned += out.pruned;
-            stats.cache_hits += out.cache_hits;
+            stats.absorb(&out.stats);
             if let Some(b) = out.best {
                 let better = winner.as_ref().map(|w| b.0 < w.0).unwrap_or(true);
                 if better {

@@ -2,7 +2,6 @@
 //! exposing all derived quantities.
 
 use crate::{Mapping, MappingError};
-use std::collections::HashMap;
 use ulm_arch::{Architecture, MemoryId};
 use ulm_workload::{DimSizes, Layer, Operand};
 
@@ -144,15 +143,16 @@ impl<'a> MappedLayer<'a> {
                 });
             }
         }
-        // Capacity: per physical memory, summed over the operands it holds.
-        let mut residency: HashMap<MemoryId, u64> = HashMap::new();
+        // Capacity: per physical memory, summed over the operands it holds,
+        // checked in id order so the lowest-id overflowing memory is named.
+        let mut residency = vec![0u64; h.memories().len()];
         for op in Operand::all() {
             for (lvl, &mid) in h.chain(op).iter().enumerate() {
-                *residency.entry(mid).or_insert(0) += self.mem_data_bits(op, lvl);
+                residency[mid.0] += self.mem_data_bits(op, lvl);
             }
         }
-        for (mid, needed_bits) in residency {
-            let mem = h.mem(mid);
+        for (i, needed_bits) in residency.into_iter().enumerate() {
+            let mem = h.mem(MemoryId(i));
             if mem.is_backing_store() {
                 continue;
             }
@@ -539,6 +539,25 @@ mod tests {
             MappedLayer::new(&layer, &chip.arch, &m),
             Err(MappingError::CapacityExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn capacity_error_names_the_lowest_id_overflowing_memory() {
+        // Every loop held at the register level overflows W-Reg, I-Reg and
+        // O-Reg at once; the error must name W-Reg (lowest id) every time.
+        let (chip, layer) = toy_setup();
+        let m = Mapping::new(
+            SpatialUnroll::new(chip.spatial.clone()),
+            LoopStack::from_pairs(&[(Dim::C, 8), (Dim::B, 2), (Dim::K, 2)]),
+            PerOperand::from_fn(|_| OperandAlloc::new(vec![3, 3])),
+        );
+        for _ in 0..64 {
+            match MappedLayer::new(&layer, &chip.arch, &m) {
+                Err(MappingError::CapacityExceeded { memory, .. }) => assert_eq!(memory, "W-Reg"),
+                Err(other) => panic!("expected CapacityExceeded, got {other:?}"),
+                Ok(_) => panic!("expected CapacityExceeded, got a valid view"),
+            }
+        }
     }
 
     #[test]

@@ -512,18 +512,14 @@ impl<'a> BatchKernel<'a> {
             return incumbent;
         }
         self.compute_bounds(cnt);
-        let bw_aware = self.model.options().bw_aware;
         for lane in 0..cnt {
             let outcome = if self.lane_illegal[lane] {
                 LaneOutcome::Illegal
             } else {
-                let pruned = match incumbent {
-                    Some(inc) => {
-                        self.lane_floor[lane] >= inc
-                            || (bw_aware && self.lane_roof[lane] - inc > 1e-6 + 1e-9 * inc.abs())
-                    }
-                    None => false,
-                };
+                let pruned = incumbent.is_some_and(|inc| {
+                    self.model
+                        .prunes(self.lane_floor[lane], || self.lane_roof[lane], inc)
+                });
                 if pruned {
                     LaneOutcome::Pruned
                 } else {

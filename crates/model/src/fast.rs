@@ -214,6 +214,18 @@ impl LatencyModel {
         )
         .cc_total
     }
+
+    /// The branch-and-bound prune test, shared by the scalar search and
+    /// the batched kernel: true when a candidate with phase floor `floor`
+    /// provably cannot be *strictly* better than `incumbent`. The floor
+    /// is exact (see [`phase_floor`](Self::phase_floor)); the roofline,
+    /// read only for bw-aware models whose floor did not already prune,
+    /// gets a tolerance margin matching the model's documented roofline
+    /// slack.
+    pub fn prunes(&self, floor: f64, roof: impl FnOnce() -> f64, incumbent: f64) -> bool {
+        floor >= incumbent
+            || (self.opts.bw_aware && roof() - incumbent > 1e-6 + 1e-9 * incumbent.abs())
+    }
 }
 
 #[cfg(test)]

@@ -137,8 +137,12 @@ impl LoweredLayer {
     /// [`Stage`]); [`rebuild_dirty`](Self::rebuild_dirty) re-runs the
     /// same stage functions selectively.
     pub fn build_into(view: &MappedLayer<'_>, opts: DtlOptions, out: &mut LoweredLayer) {
-        out.pins = [None; 3];
-        out.rebuild_full(view, opts);
+        out.rebuild_full(
+            view,
+            opts,
+            [None; 3],
+            &LiveSlots::new(view.arch().hierarchy()),
+        );
     }
 
     /// Lowers `view` with explicit residency pins: `pins[op]` keeps that
@@ -147,20 +151,29 @@ impl LoweredLayer {
     /// by pinning the producer's output and the consumer's input at the
     /// fusion buffer; `[None; 3]` is bit-identical to [`build`](Self::build).
     pub fn build_pinned(view: &MappedLayer<'_>, opts: DtlOptions, pins: ResidencyPins) -> Self {
-        let mut out = Self {
-            pins,
-            ..Self::default()
-        };
-        out.rebuild_full(view, opts);
+        let mut out = Self::default();
+        out.rebuild_full(view, opts, pins, &LiveSlots::new(view.arch().hierarchy()));
         out
     }
 
-    fn rebuild_full(&mut self, view: &MappedLayer<'_>, opts: DtlOptions) {
+    /// The one lowering driver: runs the four stages in build order with
+    /// every architecture constant answered by `slots`. The generic path
+    /// passes [`LiveSlots`]; the surrogate passes its folded table, built
+    /// through `LiveSlots` from the same hierarchy, so both produce the
+    /// same bits.
+    pub(crate) fn rebuild_full(
+        &mut self,
+        view: &MappedLayer<'_>,
+        opts: DtlOptions,
+        pins: ResidencyPins,
+        slots: &impl ArchSlots,
+    ) {
         self.opts = opts;
+        self.pins = pins;
         self.stage_residency(view);
         self.stage_feed_rates(view);
-        self.stage_phases(view);
-        self.stage_dtl_graph(view.layer(), &LiveSlots::new(view.arch().hierarchy()));
+        self.stage_phases(view.layer(), slots);
+        self.stage_dtl_graph(view.layer(), slots);
     }
 
     /// [`Stage::Residency`]: the per-`(operand, level)` tables, the
@@ -225,11 +238,9 @@ impl LoweredLayer {
     /// [`Stage::Phases`]: pre-load / off-load cycle counts. Reads port
     /// bandwidths, so a bandwidth delta re-runs it; block sizes come from
     /// the (clean) residency tables built by the stage before it.
-    fn stage_phases(&mut self, view: &MappedLayer<'_>) {
-        let preload = phases::preload_cycles_lowered(view, self);
-        let offload = phases::offload_cycles_lowered(view, self);
-        self.preload = preload;
-        self.offload = offload;
+    fn stage_phases(&mut self, layer: &Layer, slots: &impl ArchSlots) {
+        self.preload = phases::preload_cycles_with(layer, self, slots);
+        self.offload = phases::offload_cycles_with(layer, self, slots);
     }
 
     /// [`Stage::DtlGraph`]: Step 1 proper, read off the tables the
@@ -239,29 +250,6 @@ impl LoweredLayer {
         let mut dtls = std::mem::take(&mut self.dtls);
         dtl::build_dtls_with(layer, self.opts, &*self, slots, &mut dtls);
         self.dtls = dtls;
-    }
-
-    /// Full rebuild with every architecture constant answered by `slots`
-    /// instead of live hierarchy lookups — the surrogate's per-query
-    /// lowering. The workload-varying stages (residency, feed rates) run
-    /// against the view exactly as [`build_into`](Self::build_into) does;
-    /// the arch-constant-reading stages (phases, DTL graph) run the same
-    /// arithmetic bodies over the folded slot tables. With slots folded
-    /// from the same hierarchy the result is bit-identical to
-    /// [`build_into`](Self::build_into).
-    pub(crate) fn rebuild_specialized(
-        &mut self,
-        view: &MappedLayer<'_>,
-        opts: DtlOptions,
-        slots: &impl ArchSlots,
-    ) {
-        self.pins = [None; 3];
-        self.opts = opts;
-        self.stage_residency(view);
-        self.stage_feed_rates(view);
-        self.preload = phases::preload_cycles_with(view.layer(), self, slots);
-        self.offload = phases::offload_cycles_with(view.layer(), self, slots);
-        self.stage_dtl_graph(view.layer(), slots);
     }
 
     /// Recomputes only the stages invalidated by `delta`, bit-identical
@@ -291,7 +279,12 @@ impl LoweredLayer {
         if never_built || self.opts != opts || dirty(Stage::Residency) || dirty(Stage::FeedRates) {
             // Preserves `self.pins` (unlike `build_into`): a pinned IR
             // stays pinned across incremental rebuilds.
-            self.rebuild_full(view, opts);
+            self.rebuild_full(
+                view,
+                opts,
+                self.pins,
+                &LiveSlots::new(view.arch().hierarchy()),
+            );
             return RebuildStats::full();
         }
         let mut stats = RebuildStats {
@@ -299,7 +292,7 @@ impl LoweredLayer {
             stages_skipped: 2, // residency + feed rates reused
         };
         if dirty(Stage::Phases) {
-            self.stage_phases(view);
+            self.stage_phases(view.layer(), &LiveSlots::new(view.arch().hierarchy()));
             stats.stages_rebuilt += 1;
         } else {
             stats.stages_skipped += 1;

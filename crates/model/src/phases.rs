@@ -8,7 +8,7 @@
 //! maximum.
 
 use crate::lower::{kv_active_interfaces, LoweredLayer};
-use crate::slots::{ArchSlots, LiveSlots};
+use crate::slots::ArchSlots;
 use ulm_arch::PortUse;
 use ulm_mapping::MappedLayer;
 use ulm_workload::{Layer, Operand};
@@ -52,28 +52,12 @@ pub fn offload_cycles(view: &MappedLayer<'_>) -> u64 {
     total
 }
 
-/// [`preload_cycles`] reading block sizes from already-lowered residency
-/// tables instead of re-deriving them through the view — same integers,
-/// so the result is identical; only the per-level `Mem_DATA` recompute
-/// is skipped. The pipeline's phase stage runs through here (residency
-/// always precedes phases in build order, and stays clean under the
-/// bandwidth deltas that re-run phases alone).
-pub(crate) fn preload_cycles_lowered(view: &MappedLayer<'_>, lw: &LoweredLayer) -> u64 {
-    let slots = LiveSlots::new(view.arch().hierarchy());
-    preload_cycles_with(view.layer(), lw, &slots)
-}
-
-/// [`offload_cycles`] from the lowered tables; see
-/// [`preload_cycles_lowered`].
-pub(crate) fn offload_cycles_lowered(view: &MappedLayer<'_>, lw: &LoweredLayer) -> u64 {
-    let slots = LiveSlots::new(view.arch().hierarchy());
-    offload_cycles_with(view.layer(), lw, &slots)
-}
-
-/// The pre-load arithmetic body: link bandwidths arrive through `slots`
-/// (the same `u64` min of the two port bandwidths the view lookups take),
-/// so the generic path and the surrogate's folded tables produce the same
-/// integers.
+/// The pre-load arithmetic body of the lowering's phase stage: block
+/// sizes come from the lowered residency tables and link bandwidths
+/// through `slots` (the same `u64` min of the two port bandwidths the
+/// view lookups take), so it yields the same integers as
+/// [`preload_cycles`], on the generic path and over the surrogate's
+/// folded tables alike.
 pub(crate) fn preload_cycles_with(layer: &Layer, lw: &LoweredLayer, slots: &impl ArchSlots) -> u64 {
     let mut worst = 0u64;
     for op in [Operand::W, Operand::I] {

@@ -365,7 +365,7 @@ impl SpecializedModel {
         };
         scratch
             .lowered_mut()
-            .rebuild_specialized(&view, model.dtl_options(), &*slots);
+            .rebuild_full(&view, model.dtl_options(), [None; 3], &*slots);
         let (lowered, stall) = scratch.parts();
         let ss_overall = model.ss_overall(arch, lowered.dtls(), stall, Reuse::Grouping, false);
         if model.options().bw_aware {

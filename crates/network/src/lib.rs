@@ -35,6 +35,7 @@ use std::error::Error;
 use std::fmt;
 use ulm_arch::Architecture;
 use ulm_energy::{EnergyModel, EnergyReport};
+use ulm_mapper::fork_join::map_each;
 use ulm_mapper::{Mapper, MapperError, MapperOptions, Objective};
 use ulm_mapping::{FuseError, FusedSegment, MappedLayer, Mapping, SegmentResidency, SpatialUnroll};
 use ulm_model::{LatencyModel, LatencyReport, LoweredLayer, ResidencyPins};
@@ -235,9 +236,11 @@ impl<'a> NetworkEvaluator<'a> {
     }
 
     /// Sets how many threads the per-layer mapping searches may use.
-    /// `None`/`Some(1)` is serial; each layer's search is deterministic and
-    /// the overlap post-pass is always applied in layer order, so every
-    /// thread count produces the identical report.
+    /// `None`/`Some(1)` is serial, and one evaluation starts at most
+    /// [`MAX_THREADS`](ulm_mapper::MAX_THREADS) threads whatever is asked
+    /// for. Each layer's search is deterministic and the overlap
+    /// post-pass is always applied in layer order, so every thread count
+    /// produces the identical report.
     pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
         self.parallelism = parallelism;
         self
@@ -309,38 +312,11 @@ impl<'a> NetworkEvaluator<'a> {
     /// Returns [`NetworkError::LayerUnmappable`] naming the first layer
     /// with no legal mapping.
     pub fn evaluate(&self, layers: &[Layer]) -> Result<NetworkReport, NetworkError> {
-        type LayerEval = Result<(Mapping, LatencyReport, EnergyReport), NetworkError>;
         let (segments, pins) = self.fusion_pins(layers)?;
-        let threads = self.parallelism.unwrap_or(1).clamp(1, layers.len().max(1));
-        let evals: Vec<LayerEval> = if threads <= 1 {
-            layers
-                .iter()
-                .zip(&pins)
-                .map(|(l, &p)| self.evaluate_layer(l, p))
-                .collect()
-        } else {
-            let mut slots: Vec<Option<LayerEval>> = vec![None; layers.len()];
-            let chunk = layers.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for ((l_chunk, p_chunk), s_chunk) in layers
-                    .chunks(chunk)
-                    .zip(pins.chunks(chunk))
-                    .zip(slots.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        for ((layer, &p), slot) in
-                            l_chunk.iter().zip(p_chunk.iter()).zip(s_chunk.iter_mut())
-                        {
-                            *slot = Some(self.evaluate_layer(layer, p));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every layer slot is filled"))
-                .collect()
-        };
+        let jobs: Vec<(&Layer, ResidencyPins)> = layers.iter().zip(pins).collect();
+        let evals = map_each(&jobs, self.parallelism.unwrap_or(1), |&(layer, pins)| {
+            self.evaluate_layer(layer, pins)
+        });
 
         // Sequential post-pass: weight prefetch hides this layer's preload
         // under the previous layer's computation phase, and the first

@@ -1268,90 +1268,54 @@ impl EvalService {
         self.pool.submit(move || service.handle_line(&line))
     }
 
+    /// Answers one parsed request. Every kind but `stats` is timed as a
+    /// whole: the latency feeds `/stats`, and `elapsed_ms` is appended to
+    /// the response when timing is on.
     fn respond(&self, req: &Value) -> Result<Vec<(String, Value)>, UlmError> {
-        match parse_request(req)? {
-            Request::Stats => Ok(self.stats_fields()),
-            Request::WhatIf { base, set } => {
-                let start = Instant::now();
-                let result = self.respond_whatif(&base, &set);
-                let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-                self.latencies_ms
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(elapsed_ms);
-                let mut fields = result?;
-                if self.include_timing {
-                    fields.push(("elapsed_ms".to_string(), Value::F64(elapsed_ms)));
-                }
-                Ok(fields)
-            }
-            Request::Surrogate(query) => {
-                let start = Instant::now();
-                let result = self.respond_surrogate(&query);
-                let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-                self.latencies_ms
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(elapsed_ms);
-                let mut fields = result?;
-                if self.include_timing {
-                    fields.push(("elapsed_ms".to_string(), Value::F64(elapsed_ms)));
-                }
-                Ok(fields)
-            }
-            Request::Net(query) => {
-                let start = Instant::now();
-                let result = query.execute();
-                let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-                self.latencies_ms
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(elapsed_ms);
-                let mut fields = result?;
-                if self.include_timing {
-                    fields.push(("elapsed_ms".to_string(), Value::F64(elapsed_ms)));
-                }
-                Ok(fields)
-            }
-            Request::Query(query) => {
-                let start = Instant::now();
-                let fp = query.fingerprint();
-                let result = self.lookup_or_execute(&query, fp);
-                let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-                self.latencies_ms
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(elapsed_ms);
-                let (outcome, cached) = result?;
-                let mut fields = vec![
-                    (
-                        "kind".to_string(),
-                        Value::String(
-                            if outcome.search.is_some() {
-                                "search"
-                            } else {
-                                "eval"
-                            }
-                            .into(),
-                        ),
-                    ),
-                    ("fingerprint".to_string(), Value::String(fp.to_string())),
-                    ("cached".to_string(), Value::Bool(cached)),
-                    (
-                        "mapping_text".to_string(),
-                        Value::String(outcome.mapping.to_string()),
-                    ),
-                    ("mapping".to_string(), outcome.mapping.to_value()),
-                    ("latency".to_string(), outcome.latency.to_value()),
-                    ("energy".to_string(), outcome.energy.to_value()),
-                    ("search".to_string(), outcome.search.to_value()),
-                ];
-                if self.include_timing {
-                    fields.push(("elapsed_ms".to_string(), Value::F64(elapsed_ms)));
-                }
-                Ok(fields)
-            }
+        let request = parse_request(req)?;
+        let start = Instant::now();
+        let result = match request {
+            Request::Stats => return Ok(self.stats_fields()),
+            Request::WhatIf { base, set } => self.respond_whatif(&base, &set),
+            Request::Surrogate(query) => self.respond_surrogate(&query),
+            Request::Net(query) => query.execute(),
+            Request::Query(query) => self.respond_query(&query),
+        };
+        let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+        self.latencies_ms
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push(elapsed_ms);
+        let mut fields = result?;
+        if self.include_timing {
+            fields.push(("elapsed_ms".to_string(), Value::F64(elapsed_ms)));
         }
+        Ok(fields)
+    }
+
+    /// Answers an `eval` or `search` query from the fingerprinted cache,
+    /// computing and caching it on a miss.
+    fn respond_query(&self, query: &Query) -> Result<Vec<(String, Value)>, UlmError> {
+        let fp = query.fingerprint();
+        let (outcome, cached) = self.lookup_or_execute(query, fp)?;
+        let kind = if outcome.search.is_some() {
+            "search"
+        } else {
+            "eval"
+        };
+        Ok(vec![
+            ("kind".to_string(), Value::String(kind.into())),
+            ("fingerprint".to_string(), Value::String(fp.to_string())),
+            ("cached".to_string(), Value::Bool(cached)),
+            (
+                "mapping_text".to_string(),
+                Value::String(outcome.mapping.to_string()),
+            ),
+            ("mapping".to_string(), outcome.mapping.to_value()),
+            ("latency".to_string(), outcome.latency.to_value()),
+            ("energy".to_string(), outcome.energy.to_value()),
+            ("search".to_string(), outcome.search.to_value()),
+        ])
     }
 
     /// Resolves the base query against the fingerprinted cache (computing

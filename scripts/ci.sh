@@ -56,6 +56,30 @@ if [[ "$validate_mean" != "96.36859905035502" ]]; then
     exit 1
 fi
 
+echo "==> dse smoke (Fig. 8 search counters and Pareto front at four thread/lane settings)"
+# Serial, scalar (--batch-lanes 1) and design-parallel (--threads 2) runs
+# must report the same search counters; intra-design threads
+# (--map-threads 2) split each ordering space in two, which pins the
+# per-search chunk split. All four must print the same Pareto front.
+dse_front=""
+for args in "" "--batch-lanes 1" "--threads 2" "--map-threads 2"; do
+    # shellcheck disable=SC2086 # $args is a list of flags
+    dse_out="$(target/release/ulm dse --gb-bw 128 --json --stats $args 2>/dev/null | tr -d ' \n')"
+    dse_counts="$(sed -nE 's/.*"generated":([0-9]+),"evaluated":([0-9]+),"pruned":([0-9]+).*/\1 \2 \3/p' <<<"$dse_out")"
+    expected="89100 4851 84249"
+    [[ "$args" == "--map-threads 2" ]] && expected="89100 9126 79974"
+    if [[ "$dse_counts" != "$expected" ]]; then
+        echo "error: ulm dse ${args:-(serial)} reports generated/evaluated/pruned '${dse_counts}', expected '${expected}'" >&2
+        exit 1
+    fi
+    front="$(sed -nE 's/.*"pareto":(\[.*\]),"stats".*/\1/p' <<<"$dse_out")"
+    if [[ -z "$front" || (-n "$dse_front" && "$front" != "$dse_front") ]]; then
+        echo "error: ulm dse ${args:-(serial)} printed a different Pareto front" >&2
+        exit 1
+    fi
+    dse_front="$front"
+done
+
 echo "==> surrogate-vs-evaluate_fast differential proptests (release)"
 cargo test --release -q -p ulm --test surrogate_props
 
