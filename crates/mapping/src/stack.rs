@@ -78,19 +78,6 @@ impl LoopStack {
         Self { loops: vec![] }
     }
 
-    /// Replaces the stack contents from `(dim, size)` pairs (innermost
-    /// first) in place, reusing the existing buffer. Size-1 loops are
-    /// dropped, as in [`from_pairs`](Self::from_pairs).
-    pub fn assign_from_pairs(&mut self, pairs: &[(Dim, u64)]) {
-        self.loops.clear();
-        self.loops.extend(
-            pairs
-                .iter()
-                .filter(|&&(_, s)| s > 1)
-                .map(|&(d, s)| TemporalLoop::new(d, s)),
-        );
-    }
-
     /// The loops, innermost first.
     pub fn loops(&self) -> &[TemporalLoop] {
         &self.loops

@@ -49,63 +49,6 @@ impl<'a> MappedLayer<'a> {
         Ok(v)
     }
 
-    /// Binds and validates like [`new`](Self::new), but reports failure
-    /// as `None` instead of building a [`MappingError`] (whose payloads
-    /// allocate), and reuses `residency` as scratch for the capacity
-    /// check. This accepts exactly the mappings `new` accepts; it is the
-    /// constructor the mapper's allocation-free search path uses.
-    pub fn new_fast(
-        layer: &'a Layer,
-        arch: &'a Architecture,
-        mapping: &'a Mapping,
-        residency: &mut Vec<u64>,
-    ) -> Option<Self> {
-        let v = Self {
-            layer,
-            arch,
-            mapping,
-        };
-        v.validate_fast(residency).then_some(v)
-    }
-
-    fn validate_fast(&self, residency: &mut Vec<u64>) -> bool {
-        let macs = self.arch.mac_array().num_macs();
-        if self.mapping.spatial().product() > macs {
-            return false;
-        }
-        let h = self.arch.hierarchy();
-        let total = self.mapping.stack().len();
-        for op in Operand::all() {
-            let chain = h.chain(op);
-            let alloc = self.mapping.alloc(op);
-            if alloc.levels() != chain.len() || alloc.top() != total {
-                return false;
-            }
-        }
-        for (dim, required) in self.layer.shape().dims().iter() {
-            let mapped = self.mapping.spatial().extent(dim) * self.mapping.stack().extent(dim);
-            if mapped < required {
-                return false;
-            }
-        }
-        // Capacity: per physical memory, summed over the operands it
-        // holds (same arithmetic as `validate`, id-indexed scratch).
-        residency.clear();
-        residency.resize(h.memories().len(), 0);
-        for op in Operand::all() {
-            for (lvl, &mid) in h.chain(op).iter().enumerate() {
-                residency[mid.0] += self.mem_data_bits(op, lvl);
-            }
-        }
-        for (i, &needed_bits) in residency.iter().enumerate() {
-            let mem = h.mem(MemoryId(i));
-            if !mem.is_backing_store() && needed_bits > mem.mapper_capacity_bits() {
-                return false;
-            }
-        }
-        true
-    }
-
     fn validate(&self) -> Result<(), MappingError> {
         let macs = self.arch.mac_array().num_macs();
         let product = self.mapping.spatial().product();

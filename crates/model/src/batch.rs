@@ -1,44 +1,22 @@
-//! Batched structure-of-arrays evaluation of candidate loop orderings.
-//!
-//! The mapper's scalar hot path walks one ordering at a time through
-//! pointer-rich `Mapping`/`MappedLayer`/`LoweredLayer` structs. For the
-//! ordering search all of that structure is invariant: the architecture,
-//! the layer, the spatial unrolling and the factor *multiset* are fixed,
-//! and only the factor *order* varies. [`BatchKernel`] exploits that by
-//! packing the per-(operand, level) scalars of up to `lanes` orderings —
-//! `Mem_DATA`, `Mem_CC`, `Z`, the `ReqBW` run, refill and distinct-block
-//! counts — into contiguous per-row lanes, then evaluating the phase
-//! floor and roofline bounds for all lanes in lockstep so the compiler
-//! can autovectorize. Only the (few) lanes that survive pruning pay for
-//! Steps 1–3: a survivor's DTLs come out of the shared Step-1 body
-//! (`dtl::build_dtls_with`, reading the lane's rows) and its stall out of
-//! the shared Step-2/3 helper, the *same* code the scalar path runs — so
-//! surviving scores are bit-identical to [`LatencyModel::evaluate_fast`]
-//! by construction. The kernel is a lane-width policy over that model,
-//! not a second implementation of it.
-//!
-//! Batch-constant work is hoisted into [`BatchKernel::new`]: the spatial
-//! fit and coverage checks (`CC_spatial` and every dimension extent are
-//! multiset invariants, independent of order), per-level capacity
-//! budgets for the greedy allocation, and the link constants (port
-//! bandwidths, endpoints, buffering), folded once into the same slot
-//! table the surrogate uses. Per pushed ordering the kernel extends
-//! prefix-memoized cycle counts and residency words (shared inner
-//! prefixes with the previously pushed ordering are reused, mirroring the
-//! scalar path's `cache_hits` accounting), replays the greedy level
-//! allocation with precomputed word budgets, and derives `Z`/refill/run
-//! scalars from closed-form suffix products instead of re-walking loop
-//! stacks.
+//! Lane-width policy for the ordering search: [`BatchKernel`] packs the
+//! residency rows of up to `lanes` orderings into structure-of-arrays
+//! lanes, computes the phase-floor and roofline bounds for all lanes in
+//! lockstep (so the compiler can autovectorize), and pays for Steps 1–3
+//! only on the lanes that survive pruning. The rows come from the shared
+//! [`Residency`] routine, a survivor's DTLs from the shared Step-1 body
+//! and its stall from the shared Step-2/3 helper, so every score is
+//! bit-identical to [`LatencyModel::evaluate_fast`] by construction.
 
 use crate::dtl::{build_dtls_with, Dtl, LevelRows};
 use crate::fast::FastLatency;
-use crate::lower::{kv_active_interfaces, LevelLowering};
-use crate::slots::{ArchSlots, FoldedSlots};
+use crate::lower::{LevelLowering, ResidencySource};
+use crate::residency::Residency;
+use crate::slots::ArchSlots;
 use crate::stall::{Reuse, StallScratch};
 use crate::LatencyModel;
-use ulm_arch::{Architecture, MemoryId};
+use ulm_arch::Architecture;
 use ulm_mapping::SpatialUnroll;
-use ulm_workload::{Dim, DimSizes, Layer, Operand, Relevance, ALL_DIMS};
+use ulm_workload::{Dim, Layer, Operand};
 
 /// Outcome of one lane after a [`BatchKernel::drain`] pass, mirroring
 /// the scalar search's per-ordering outcomes.
@@ -54,34 +32,6 @@ pub enum LaneOutcome {
     Scored(f64),
 }
 
-/// Constant per-operand data shared by every lane.
-#[derive(Debug, Clone)]
-struct OpSpec {
-    op: Operand,
-    /// Resident precision in bits (partial-sum width for O).
-    bits: u64,
-    chain: Vec<MemoryId>,
-    /// Per dim: does a temporal factor of this dim grow the operand's
-    /// resident words multiplicatively (strictly relevant)?
-    step: [bool; 7],
-    /// Per dim: `is_relevant()` (partials included) — drives runs,
-    /// refill counts and output finality.
-    rel: [bool; 7],
-    /// All factor dims are strictly relevant or irrelevant to this
-    /// operand, so resident words grow by pure factor products.
-    words_mult: bool,
-    /// Interfaces that carry traffic: `chain.len() - 1`, one fewer for a
-    /// KV-cache resident operand — mirrors
-    /// [`LoweredLayer::active_interfaces`](crate::LoweredLayer::active_interfaces)
-    /// so batched scores stay bit-identical to the scalar path.
-    active: usize,
-    /// Per level < top: greedy capacity budget in *words*
-    /// (`mapper_capacity_bits / sharers / bits`, floored).
-    cap_words: Vec<u64>,
-    /// Compute-facing link: relevant spatial words per cycle.
-    words_per_cycle: u64,
-}
-
 /// A reusable batched evaluator for one (architecture, layer, spatial,
 /// factor-multiset) search context. See the module docs.
 pub struct BatchKernel<'a> {
@@ -93,39 +43,7 @@ pub struct BatchKernel<'a> {
     n: usize,
     /// Lanes currently filled.
     count: usize,
-    /// Spatial fit + coverage verdict (order-independent).
-    const_legal: bool,
-    cc_ideal: f64,
-    cc_spatial: u64,
-    ops: [OpSpec; 3],
-    /// Per physical memory: capacity in bits, `None` for backing stores
-    /// (exempt from the residency check).
-    mem_caps: Vec<Option<u64>>,
-    /// Link constants per interface, folded once from the hierarchy.
-    slots: FoldedSlots,
-
-    // --- prefix memoization (persists across drains) ---
-    prev: Vec<(Dim, u64)>,
-    /// `prefix_cycles[p]` = product of the innermost `p` factor sizes.
-    prefix_cycles: Vec<u64>,
-    /// `words_at[op][p]` = operand words resident under the innermost
-    /// `p` factors (entry 0 = spatial extents alone).
-    words_at: [Vec<u64>; 3],
-    /// `prefix_ext[p]`: full extents, maintained only when some operand
-    /// is non-multiplicative (conv inputs).
-    prefix_ext: Vec<DimSizes>,
-    /// `rel_at[op][p]` = product of the operand-*relevant* sizes among
-    /// the innermost `p` factors (so `rel_at[op][n] / rel_at[op][upper]`
-    /// is the exact distinct-block count above `upper`, and
-    /// `suffix_all[upper] == distinct` iff everything above is relevant).
-    rel_at: [Vec<u64>; 3],
-    need_ext: bool,
-    cache_hits: u64,
-
-    // --- per-push scratch ---
-    suffix_all: Vec<u64>,
-    bounds: [Vec<u32>; 3],
-    residency: Vec<u64>,
+    res: Residency,
 
     // --- SoA lane rows, stride = `lanes` ---
     row_off: [usize; 3],
@@ -172,103 +90,16 @@ impl<'a> BatchKernel<'a> {
         factors: &[(Dim, u64)],
         lanes: usize,
     ) -> Self {
-        debug_assert!(factors.iter().all(|&(_, s)| s > 1));
         let lanes = lanes.max(1);
         let n = factors.len();
-        let h = arch.hierarchy();
         let prec = layer.precision();
-
-        // Order-independent legality: spatial fit + dimension coverage.
-        let macs = arch.mac_array().num_macs();
-        let mut const_legal = spatial.product() <= macs;
-        if const_legal {
-            let mut temporal = DimSizes::new(1, 1, 1, 1, 1, 1, 1);
-            for &(d, s) in factors {
-                temporal.multiply(d, s);
-            }
-            for (dim, required) in layer.shape().dims().iter() {
-                if spatial.extent(dim) * temporal[dim] < required {
-                    const_legal = false;
-                    break;
-                }
-            }
-        }
-
-        let cc_ideal = layer.total_macs() as f64 / macs as f64;
-        let cc_spatial: u64 = factors.iter().map(|&(_, s)| s).product();
-
-        let spatial_ext = spatial.extents();
-        let mut need_ext = false;
-        let build_op = |op: Operand| {
-            let rel_table = layer.operand_relevance(op);
-            let bits = prec.bits(op);
-            let chain: Vec<MemoryId> = h.chain(op).to_vec();
-            let mut step = [false; 7];
-            let mut rel = [false; 7];
-            for d in ALL_DIMS {
-                let r = rel_table.get(d);
-                step[d.index()] = r == Relevance::Relevant;
-                rel[d.index()] = r.is_relevant();
-            }
-            let words_mult = factors.iter().all(|&(d, _)| {
-                matches!(
-                    rel_table.get(d),
-                    Relevance::Relevant | Relevance::Irrelevant
-                )
-            });
-            let cap_words = chain[..chain.len().saturating_sub(1)]
-                .iter()
-                .map(|&lower| {
-                    let sharers = h.served_operand_count(lower) as u64;
-                    h.mem(lower).mapper_capacity_bits() / sharers / bits
-                })
-                .collect();
-            let words_per_cycle: u64 = spatial
-                .factors()
-                .iter()
-                .filter(|(d, _)| rel_table.get(*d) != Relevance::Irrelevant)
-                .map(|&(_, f)| f)
-                .product();
-            OpSpec {
-                op,
-                bits,
-                active: kv_active_interfaces(layer, op, chain.len()),
-                chain,
-                step,
-                rel,
-                words_mult,
-                cap_words,
-                words_per_cycle,
-            }
-        };
-        let ops = [
-            build_op(Operand::W),
-            build_op(Operand::I),
-            build_op(Operand::O),
-        ];
-        for spec in &ops {
-            need_ext |= !spec.words_mult;
-        }
-
-        let mem_caps: Vec<Option<u64>> = h
-            .memories()
-            .iter()
-            .map(|m| (!m.is_backing_store()).then(|| m.mapper_capacity_bits()))
-            .collect();
-
+        let res = Residency::new(arch, layer, spatial, factors);
         let row_off = [
             0,
-            ops[0].chain.len(),
-            ops[0].chain.len() + ops[1].chain.len(),
+            res.levels(Operand::W),
+            res.levels(Operand::W) + res.levels(Operand::I),
         ];
-        let rows = row_off[2] + ops[2].chain.len();
-
-        let words_at = [Operand::W, Operand::I, Operand::O].map(|op| {
-            let mut v = vec![0u64; n + 1];
-            v[0] = layer.data_words(op, &spatial_ext);
-            v
-        });
-
+        let rows = row_off[2] + res.levels(Operand::O);
         Self {
             arch,
             layer,
@@ -276,26 +107,7 @@ impl<'a> BatchKernel<'a> {
             lanes,
             n,
             count: 0,
-            const_legal,
-            cc_ideal,
-            cc_spatial,
-            ops,
-            mem_caps,
-            slots: FoldedSlots::fold(h),
-            prev: Vec::with_capacity(n),
-            prefix_cycles: {
-                let mut v = vec![0u64; n + 1];
-                v[0] = 1;
-                v
-            },
-            words_at,
-            prefix_ext: vec![spatial_ext; n + 1],
-            rel_at: [(); 3].map(|_| vec![1u64; n + 1]),
-            need_ext,
-            cache_hits: 0,
-            suffix_all: vec![1u64; n + 1],
-            bounds: [(); 3].map(|_| Vec::with_capacity(8)),
-            residency: vec![0u64; h.memories().len()],
+            res,
             row_off,
             rows,
             r_words: vec![0; rows * lanes],
@@ -343,152 +155,37 @@ impl<'a> BatchKernel<'a> {
     }
 
     /// Prefix quantities reused from the previously pushed ordering —
-    /// the same accounting as the scalar `EvalScratch`.
+    /// the same accounting as the one-lane search.
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
+        self.res.cache_hits()
     }
 
     /// Packs one ordering (innermost factor first, a permutation of the
-    /// constructor's factor multiset) into the next lane: extends the
-    /// prefix memos, replays the greedy level allocation and fills the
-    /// lane's SoA row scalars. Panics if the kernel [`is_full`](Self::is_full).
+    /// constructor's factor multiset) into the next lane: the shared
+    /// [`Residency`] takes the greedy split, and the lane's SoA rows are
+    /// filled from its rows. Panics if the kernel [`is_full`](Self::is_full).
     pub fn push(&mut self, ordering: &[(Dim, u64)]) {
         assert!(self.count < self.lanes, "kernel is full; drain first");
-        debug_assert_eq!(ordering.len(), self.n);
         let n = self.n;
         let lane = self.count;
         self.count += 1;
         self.lane_ord[lane * n..(lane + 1) * n].copy_from_slice(ordering);
-
-        // Prefix sharing with the previously pushed ordering.
-        let shared = self
-            .prev
-            .iter()
-            .zip(ordering)
-            .take_while(|(a, b)| *a == *b)
-            .count();
-        self.cache_hits += shared as u64;
-        self.prev.clear();
-        self.prev.extend_from_slice(ordering);
-        for (p, &(d, s)) in ordering.iter().enumerate().skip(shared) {
-            self.prefix_cycles[p + 1] = self.prefix_cycles[p] * s;
-            if self.need_ext {
-                let mut ext = self.prefix_ext[p];
-                ext.multiply(d, s);
-                self.prefix_ext[p + 1] = ext;
-            }
-            for (oi, spec) in self.ops.iter().enumerate() {
-                self.words_at[oi][p + 1] = if spec.words_mult {
-                    let f = if spec.step[d.index()] { s } else { 1 };
-                    self.words_at[oi][p] * f
-                } else {
-                    self.layer.data_words(spec.op, &self.prefix_ext[p + 1])
-                };
-                self.rel_at[oi][p + 1] =
-                    self.rel_at[oi][p] * if spec.rel[d.index()] { s } else { 1 };
-            }
-        }
-
-        // Suffix products for Z / refills; the per-operand relevant
-        // suffixes come from the memoized `rel_at` prefix products
-        // (`distinct = rel_at[n] / rel_at[upper]`, exact), so this is the
-        // only whole-ordering pass left.
-        self.suffix_all[n] = 1;
-        for p in (0..n).rev() {
-            self.suffix_all[p] = self.suffix_all[p + 1] * ordering[p].1;
-        }
-
-        // Greedy level allocation with precomputed word budgets — the
-        // same bounds `Mapping::reassign_greedy` assigns, or Illegal.
-        let mut illegal = !self.const_legal;
-        if !illegal {
-            'ops: for (oi, spec) in self.ops.iter().enumerate() {
-                let bounds = &mut self.bounds[oi];
-                bounds.clear();
-                let mut prev = 0usize;
-                let levels = spec.chain.len();
-                for lvl in 0..levels {
-                    if lvl + 1 == levels {
-                        bounds.push(n as u32);
-                        break;
-                    }
-                    let cap = spec.cap_words[lvl];
-                    let words = &self.words_at[oi];
-                    if words[prev] > cap {
-                        illegal = true;
-                        break 'ops;
-                    }
-                    let mut p = prev;
-                    while p < n && words[p + 1] <= cap {
-                        p += 1;
-                    }
-                    bounds.push(p as u32);
-                    prev = p;
-                }
-            }
-        }
-
-        // Residency: per physical memory, summed over resident operands.
-        if !illegal {
-            self.residency.fill(0);
-            for (oi, spec) in self.ops.iter().enumerate() {
-                for (lvl, &mid) in spec.chain.iter().enumerate() {
-                    let upper = self.bounds[oi][lvl] as usize;
-                    self.residency[mid.0] += self.words_at[oi][upper] * spec.bits;
-                }
-            }
-            for (i, &needed) in self.residency.iter().enumerate() {
-                if let Some(cap) = self.mem_caps[i] {
-                    if needed > cap {
-                        illegal = true;
-                        break;
-                    }
-                }
-            }
-        }
-
+        let illegal = self.res.push(self.layer, ordering).is_err();
         self.lane_illegal[lane] = illegal;
         if illegal {
             return;
         }
-
-        // Fill the lane's SoA rows from the memoized prefix/suffix data.
-        for (oi, spec) in self.ops.iter().enumerate() {
-            let rel_at = &self.rel_at[oi];
-            let rel_total = rel_at[n];
-            for lvl in 0..spec.chain.len() {
-                let upper = self.bounds[oi][lvl] as usize;
-                let lower = if lvl == 0 {
-                    0
-                } else {
-                    self.bounds[oi][lvl - 1] as usize
-                };
-                let idx = (self.row_off[oi] + lvl) * self.lanes + lane;
-                self.r_words[idx] = self.words_at[oi][upper];
-                self.r_period[idx] = self.prefix_cycles[upper];
-                self.r_z[idx] = self.suffix_all[upper];
-                let mut run = 1u64;
-                for p in (lower..upper).rev() {
-                    let (d, s) = ordering[p];
-                    if spec.rel[d.index()] {
-                        break;
-                    }
-                    run *= s;
-                }
-                self.r_run[idx] = run;
-                // First relevant position at or above `upper`; the scan
-                // only crosses the (short) irrelevant run above the split.
-                let mut fr = upper;
-                while fr < n && !spec.rel[ordering[fr].0.index()] {
-                    fr += 1;
-                }
-                self.r_refills[idx] = self.suffix_all[fr];
-                // Exact: `rel_at[upper]` divides `rel_total`, and (sizes
-                // being > 1) everything above is relevant iff the full and
-                // relevant-only suffix products agree.
-                let distinct = rel_total / rel_at[upper];
-                self.r_distinct[idx] = distinct;
-                self.r_final[idx] = self.suffix_all[upper] == distinct;
+        for op in Operand::all() {
+            for level in 0..self.res.levels(op) {
+                let row = self.res.row(op, level);
+                let idx = (self.row_off[op.index()] + level) * self.lanes + lane;
+                self.r_words[idx] = row.words;
+                self.r_period[idx] = row.period;
+                self.r_z[idx] = row.z;
+                self.r_run[idx] = row.run;
+                self.r_refills[idx] = row.refills;
+                self.r_distinct[idx] = row.distinct_above;
+                self.r_final[idx] = row.final_above;
             }
         }
     }
@@ -537,14 +234,15 @@ impl<'a> BatchKernel<'a> {
     /// Illegal lanes hold garbage rows; their bounds are never read.
     fn compute_bounds(&mut self, cnt: usize) {
         let lanes = self.lanes;
+        let slots = self.res.slots();
         // Preload: max over W and I of the per-level refill sums.
         self.lane_pre[..cnt].fill(0);
-        for (oi, spec) in self.ops.iter().enumerate().take(2) {
+        for (oi, op) in [Operand::W, Operand::I].into_iter().enumerate() {
             self.lane_tmp[..cnt].fill(0);
-            for lvl in 0..spec.active {
+            for lvl in 0..self.res.active_interfaces(op) {
                 let base = (self.row_off[oi] + lvl) * lanes;
-                let bw = self.slots.interface(spec.op, lvl).bw_bits;
-                let bits = spec.bits;
+                let bw = slots.interface(op, lvl).bw_bits;
+                let bits = self.res.bits(op);
                 let words = &self.r_words[base..base + cnt];
                 for (acc, &w) in self.lane_tmp[..cnt].iter_mut().zip(words) {
                     *acc += (w * bits).div_ceil(bw);
@@ -557,10 +255,9 @@ impl<'a> BatchKernel<'a> {
         // Offload: per-level drain sums of O at the crossing precision.
         self.lane_off[..cnt].fill(0);
         {
-            let spec = &self.ops[2];
-            for lvl in 0..spec.active {
+            for lvl in 0..self.res.active_interfaces(Operand::O) {
                 let base = (self.row_off[2] + lvl) * lanes;
-                let bw = self.slots.interface(spec.op, lvl).bw_bits;
+                let bw = slots.interface(Operand::O, lvl).bw_bits;
                 for lane in 0..cnt {
                     let bits = if self.r_final[base + lane] {
                         self.out_final_bits
@@ -577,23 +274,23 @@ impl<'a> BatchKernel<'a> {
             self.lane_floor[lane] = FastLatency::compose(
                 self.lane_pre[lane],
                 self.lane_off[lane],
-                self.cc_ideal,
-                self.cc_spatial,
+                self.res.cc_ideal(),
+                self.res.cc_spatial(),
                 0.0,
             )
             .cc_total;
         }
         // Roofline bound, folded in the same (operand, level) order as
-        // the scalar `roofline_bound` so the float max chain matches.
+        // the roofline report so the float max chain matches.
         if !self.model.options().bw_aware {
             return;
         }
-        self.lane_roof[..cnt].fill(self.cc_ideal);
-        for (oi, spec) in self.ops.iter().enumerate() {
-            for lvl in 0..spec.active {
+        self.lane_roof[..cnt].fill(self.res.cc_ideal());
+        for (oi, op) in Operand::all().enumerate() {
+            for lvl in 0..self.res.active_interfaces(op) {
                 let base = (self.row_off[oi] + lvl) * lanes;
-                let bw = self.slots.interface(spec.op, lvl).bw_bits as f64;
-                let bits = spec.bits;
+                let bw = slots.interface(op, lvl).bw_bits as f64;
+                let bits = self.res.bits(op);
                 for lane in 0..cnt {
                     let idx = base + lane;
                     let traffic = if oi < 2 {
@@ -642,7 +339,7 @@ impl<'a> BatchKernel<'a> {
             self.layer,
             self.model.dtl_options(),
             &Lane { kernel: self, lane },
-            &self.slots,
+            self.res.slots(),
             &mut dtls,
         );
         let ss_overall =
@@ -652,8 +349,8 @@ impl<'a> BatchKernel<'a> {
         let score = FastLatency::compose(
             self.lane_pre[lane],
             self.lane_off[lane],
-            self.cc_ideal,
-            self.cc_spatial,
+            self.res.cc_ideal(),
+            self.res.cc_spatial(),
             ss_overall,
         )
         .cc_total;
@@ -675,7 +372,7 @@ struct Lane<'k, 'a> {
 
 impl LevelRows for Lane<'_, '_> {
     fn active_interfaces(&self, op: Operand) -> usize {
-        self.kernel.ops[op.index()].active
+        self.kernel.res.active_interfaces(op)
     }
 
     fn row(&self, op: Operand, level: usize) -> LevelLowering {
@@ -694,17 +391,18 @@ impl LevelRows for Lane<'_, '_> {
     }
 
     fn words_per_cycle(&self, op: Operand) -> u64 {
-        self.kernel.ops[op.index()].words_per_cycle
+        self.kernel.res.words_per_cycle(op)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::residency::tests::permutations;
     use crate::ModelScratch;
     use ulm_arch::presets;
-    use ulm_mapping::{LoopStack, MappedLayer, Mapping, OperandAlloc, SpatialUnroll};
-    use ulm_workload::{Layer, PerOperand, Precision};
+    use ulm_mapping::{LoopStack, MappedLayer, Mapping};
+    use ulm_workload::Precision;
 
     /// Every permutation of the toy factor multiset, kernel vs scalar:
     /// identical legality and bit-identical scores, for both models.
@@ -725,7 +423,6 @@ mod tests {
         for model in [LatencyModel::new(), LatencyModel::bw_unaware()] {
             let mut kernel = BatchKernel::new(&chip.arch, &layer, &spatial, model, &factors, 8);
             let mut scalar_scratch = ModelScratch::default();
-            let mut residency = Vec::new();
             let mut results: Vec<LaneOutcome> = Vec::new();
             for ord in &orderings {
                 if kernel.is_full() {
@@ -749,7 +446,6 @@ mod tests {
                     model,
                     ord,
                     &mut scalar_scratch,
-                    &mut residency,
                 );
                 match (scalar, got) {
                     (None, LaneOutcome::Illegal) => {}
@@ -762,6 +458,8 @@ mod tests {
         }
     }
 
+    /// The from-scratch oracle: greedy mapping, validated view, full
+    /// lowering.
     fn scalar_eval(
         arch: &ulm_arch::Architecture,
         layer: &Layer,
@@ -769,55 +467,11 @@ mod tests {
         model: LatencyModel,
         ordering: &[(Dim, u64)],
         scratch: &mut ModelScratch,
-        residency: &mut Vec<u64>,
     ) -> Option<f64> {
-        let mut mapping = Mapping::new(
-            spatial.clone(),
-            LoopStack::empty(),
-            PerOperand::from_fn(|_| OperandAlloc::flat(0)),
-        );
-        let mut prefix_ext = vec![spatial.extents()];
-        for &(d, s) in ordering {
-            let mut e = *prefix_ext.last().unwrap();
-            e.multiply(d, s);
-            prefix_ext.push(e);
-        }
-        if !mapping.reassign_greedy(arch, layer, ordering, &prefix_ext) {
-            return None;
-        }
-        let view = MappedLayer::new_fast(layer, arch, &mapping, residency)?;
+        let stack = LoopStack::from_pairs(ordering);
+        let mapping = Mapping::with_greedy_alloc(arch, layer, spatial.clone(), stack).ok()?;
+        let view = MappedLayer::new(layer, arch, &mapping).ok()?;
         Some(model.evaluate_fast(&view, scratch).cc_total)
-    }
-
-    fn permutations(factors: &[(Dim, u64)]) -> Vec<Vec<(Dim, u64)>> {
-        let mut out = Vec::new();
-        let mut cur = Vec::new();
-        let mut used = vec![false; factors.len()];
-        fn rec(
-            factors: &[(Dim, u64)],
-            used: &mut [bool],
-            cur: &mut Vec<(Dim, u64)>,
-            out: &mut Vec<Vec<(Dim, u64)>>,
-        ) {
-            if cur.len() == factors.len() {
-                out.push(cur.clone());
-                return;
-            }
-            let mut seen = Vec::new();
-            for i in 0..factors.len() {
-                if used[i] || seen.contains(&factors[i]) {
-                    continue;
-                }
-                seen.push(factors[i]);
-                used[i] = true;
-                cur.push(factors[i]);
-                rec(factors, used, cur, out);
-                cur.pop();
-                used[i] = false;
-            }
-        }
-        rec(factors, &mut used, &mut cur, &mut out);
-        out
     }
 
     /// Incumbent-driven pruning: outcomes must replay the scalar
@@ -840,7 +494,6 @@ mod tests {
         // Scalar reference sequence with floor-only-style incumbents:
         // replicate the mapper's bounded walk using full scores.
         let mut scalar_scratch = ModelScratch::default();
-        let mut residency = Vec::new();
         let mut best: Option<f64> = None;
         let mut want = Vec::new();
         for ord in &orderings {
@@ -851,7 +504,6 @@ mod tests {
                 model,
                 ord,
                 &mut scalar_scratch,
-                &mut residency,
             ) {
                 None => want.push(None),
                 Some(score) => {

@@ -11,13 +11,14 @@
 //! construction — they come out of one code path, not two kept in sync.
 
 use crate::delta::{InputDelta, RebuildStats};
-use crate::dtl::Dtl;
-use crate::lower::LoweredLayer;
-use crate::phases;
+use crate::dtl::{Dtl, DtlOptions};
+use crate::lower::{LoweredLayer, ResidencySource};
+use crate::residency::Residency;
 use crate::stall::{Reuse, StallScratch};
-use crate::LatencyModel;
+use crate::{phases, roofline, LatencyModel};
 use ulm_arch::Architecture;
 use ulm_mapping::MappedLayer;
+use ulm_workload::Layer;
 
 /// Reusable buffers for [`LatencyModel::evaluate_fast`]: the lowered IR
 /// plus the Step-2/3 stall pipeline buffers.
@@ -32,6 +33,22 @@ impl ModelScratch {
     /// scratch. Other consumers (energy, sim) can read the same lowering
     /// instead of re-deriving it.
     pub fn lowered(&self) -> &LoweredLayer {
+        &self.lowered
+    }
+
+    /// Lowers the current ordering of `res` into this scratch's IR and
+    /// returns it: the fast paths' counterpart of
+    /// [`LoweredLayer::build_into`], bit-identical to it on the greedy
+    /// mapping of the same ordering. `layer` must be the layer `res` was
+    /// targeted at.
+    pub fn lower_residency(
+        &mut self,
+        layer: &Layer,
+        res: &Residency,
+        opts: DtlOptions,
+    ) -> &LoweredLayer {
+        self.lowered
+            .rebuild_full(layer, res, opts, [None; 3], res.slots());
         &self.lowered
     }
 
@@ -104,6 +121,20 @@ impl LatencyModel {
     pub fn evaluate_fast(&self, view: &MappedLayer<'_>, scratch: &mut ModelScratch) -> FastLatency {
         LoweredLayer::build_into(view, self.dtl_options(), &mut scratch.lowered);
         self.core(view.arch(), &scratch.lowered, &mut scratch.stall, false)
+    }
+
+    /// [`evaluate_fast`](Self::evaluate_fast) of the current ordering of
+    /// `res`: lowered from its rows instead of a view, with the same
+    /// bits. `arch` and `layer` must be the pair `res` was targeted at.
+    pub fn evaluate_residency(
+        &self,
+        arch: &Architecture,
+        layer: &Layer,
+        res: &Residency,
+        scratch: &mut ModelScratch,
+    ) -> FastLatency {
+        scratch.lower_residency(layer, res, self.dtl_options());
+        self.core(arch, &scratch.lowered, &mut scratch.stall, false)
     }
 
     /// Incremental [`evaluate_fast`](Self::evaluate_fast): rebuilds
@@ -196,29 +227,33 @@ impl LatencyModel {
         }
     }
 
-    /// An exact, allocation-free lower bound on
-    /// [`evaluate`](Self::evaluate)`.cc_total`: the latency with the
-    /// temporal stall assumed zero. Since `SS_overall >= 0` and the total
-    /// is the float sum `((preload + cc_spatial) + ss) + offload`, this
-    /// bound can never exceed the true total — the branch-and-bound
-    /// search prunes on it without risking the argmin. Computed straight
-    /// from the view (no DTL/window construction), so pruned candidates
-    /// never pay for a full lowering.
-    pub fn phase_floor(&self, view: &MappedLayer<'_>) -> f64 {
-        FastLatency::compose(
-            phases::preload_cycles(view),
-            phases::offload_cycles(view),
-            view.cc_ideal(),
-            view.cc_spatial(),
+    /// The scalar search's prune test on the current ordering of `res`
+    /// (see [`prunes`](Self::prunes)). The floor is the latency with the
+    /// temporal stall assumed zero: since `SS_overall >= 0` and the total
+    /// is the float sum `((preload + cc_spatial) + ss) + offload`, it can
+    /// never exceed the true total. Both bounds are read off the rows, so
+    /// a pruned ordering is never lowered.
+    pub fn prunes_residency(&self, layer: &Layer, res: &Residency, incumbent: f64) -> bool {
+        let slots = res.slots();
+        let floor = FastLatency::compose(
+            phases::preload_cycles_with(layer, res, slots),
+            phases::offload_cycles_with(layer, res, slots),
+            res.cc_ideal(),
+            res.cc_spatial(),
             0.0,
         )
-        .cc_total
+        .cc_total;
+        self.prunes(
+            floor,
+            || roofline::bound_with(layer, res, slots, res.cc_ideal()),
+            incumbent,
+        )
     }
 
     /// The branch-and-bound prune test, shared by the scalar search and
     /// the batched kernel: true when a candidate with phase floor `floor`
     /// provably cannot be *strictly* better than `incumbent`. The floor
-    /// is exact (see [`phase_floor`](Self::phase_floor)); the roofline,
+    /// is exact (see [`prunes_residency`](Self::prunes_residency)); the roofline,
     /// read only for bw-aware models whose floor did not already prune,
     /// gets a tolerance margin matching the model's documented roofline
     /// slack.
@@ -360,15 +395,58 @@ mod tests {
         }
     }
 
+    /// The search's view of one of `views()`: a [`Residency`] holding the
+    /// mapping's stack as its current ordering.
+    fn residency_of(arch: &ulm_arch::Architecture, layer: &Layer, mapping: &Mapping) -> Residency {
+        let ordering: Vec<_> = mapping
+            .stack()
+            .loops()
+            .iter()
+            .map(|l| (l.dim, l.size))
+            .collect();
+        let mut res = Residency::new(arch, layer, mapping.spatial(), &ordering);
+        res.push(layer, &ordering).expect("a legal greedy mapping");
+        res
+    }
+
     #[test]
     fn phase_floor_lower_bounds_total() {
         let model = LatencyModel::new();
         let mut scratch = ModelScratch::default();
         for (arch, layer, mapping) in views() {
             let view = MappedLayer::new(&layer, &arch, &mapping).unwrap();
-            let floor = model.phase_floor(&view);
             let fast = model.evaluate_fast(&view, &mut scratch);
+            let floor = scratch.lowered().totals(0.0).cc_total;
             assert!(floor <= fast.cc_total, "{floor} > {}", fast.cc_total);
+            // The floor prune is admissible: an incumbent one ulp above
+            // the true total is never pruned on it.
+            let res = residency_of(&arch, &layer, &mapping);
+            let above = f64::from_bits(fast.cc_total.to_bits() + 1);
+            assert!(!LatencyModel::bw_unaware().prunes_residency(&layer, &res, above));
+        }
+    }
+
+    #[test]
+    fn residency_eval_matches_fast_bitwise() {
+        let mut scratch = ModelScratch::default();
+        let mut via_rows = ModelScratch::default();
+        for model in [LatencyModel::new(), LatencyModel::bw_unaware()] {
+            for (arch, layer, mapping) in views() {
+                let view = MappedLayer::new(&layer, &arch, &mapping).unwrap();
+                let fast = model.evaluate_fast(&view, &mut scratch);
+                let res = residency_of(&arch, &layer, &mapping);
+                let got = model.evaluate_residency(&arch, &layer, &res, &mut via_rows);
+                assert_eq!(fast, got);
+                assert_eq!(fast.cc_total.to_bits(), got.cc_total.to_bits());
+                let (want, have) = (scratch.lowered(), via_rows.lowered());
+                assert_eq!(want.dtls(), have.dtls());
+                for op in ulm_workload::Operand::all() {
+                    assert_eq!(want.levels(op), have.levels(op));
+                    for level in 0..want.levels(op).len() {
+                        assert_eq!(want.loops_above(op, level), have.loops_above(op, level));
+                    }
+                }
+            }
         }
     }
 }

@@ -57,6 +57,7 @@ pub mod fast;
 pub mod lower;
 pub mod phases;
 pub mod report;
+mod residency;
 pub mod roofline;
 mod slots;
 pub mod stall;
@@ -73,7 +74,8 @@ pub use dtl::{Dtl, DtlKind, DtlOptions, Endpoint, Endpoints};
 pub use fast::{FastLatency, ModelScratch};
 pub use lower::{kv_active_interfaces, LevelLowering, LoweredLayer, Regions, ResidencyPins};
 pub use report::{BandwidthFix, DtlReport, LatencyReport, MemReport, PortReport, Scenario};
-pub use roofline::{roofline, roofline_bound, Roof, Roofline};
+pub use residency::{Reject, Residency};
+pub use roofline::{roofline, Roof, Roofline};
 pub use stall::{MemStall, PortGroupCore, StallScratch};
 pub use surrogate::{MappingShape, SpecializedModel, SurrogateError, SurrogateStats};
 pub use whatif::{apply_overrides, parse_override, KnobError, KnobOverride, KnobValue};

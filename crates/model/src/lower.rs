@@ -24,10 +24,13 @@
 //! compute feed rates, and the phase inputs (`preload`, `offload`,
 //! `CC_ideal`, `CC_spatial`).
 //!
-//! Construction is a single pass over the view. [`LoweredLayer::build`]
-//! allocates an owned IR for long-lived use (e.g. one per layer in
-//! `ulm-network`); [`LoweredLayer::build_into`] refills an existing IR
-//! reusing its capacity, which is what keeps the mapper's hot path
+//! Construction is a single pass, `LoweredLayer::rebuild_full`,
+//! over a source of residency rows: the view, whose accessors re-derive
+//! every row from scratch (the oracle — [`LoweredLayer::build`],
+//! [`build_into`](LoweredLayer::build_into), `build_pinned`), or the
+//! fast paths' memoized [`Residency`](crate::Residency) routine
+//! ([`ModelScratch::lower_residency`](crate::ModelScratch::lower_residency)).
+//! Both refill an IR in place, which keeps the search hot paths
 //! allocation-free (the IR lives inside
 //! [`ModelScratch`](crate::ModelScratch)).
 
@@ -138,6 +141,7 @@ impl LoweredLayer {
     /// same stage functions selectively.
     pub fn build_into(view: &MappedLayer<'_>, opts: DtlOptions, out: &mut LoweredLayer) {
         out.rebuild_full(
+            view.layer(),
             view,
             opts,
             [None; 3],
@@ -152,86 +156,72 @@ impl LoweredLayer {
     /// fusion buffer; `[None; 3]` is bit-identical to [`build`](Self::build).
     pub fn build_pinned(view: &MappedLayer<'_>, opts: DtlOptions, pins: ResidencyPins) -> Self {
         let mut out = Self::default();
-        out.rebuild_full(view, opts, pins, &LiveSlots::new(view.arch().hierarchy()));
+        out.rebuild_full(
+            view.layer(),
+            view,
+            opts,
+            pins,
+            &LiveSlots::new(view.arch().hierarchy()),
+        );
         out
     }
 
-    /// The one lowering driver: runs the four stages in build order with
-    /// every architecture constant answered by `slots`. The generic path
-    /// passes [`LiveSlots`]; the surrogate passes its folded table, built
-    /// through `LiveSlots` from the same hierarchy, so both produce the
-    /// same bits.
+    /// The one lowering driver: runs the four stages in build order,
+    /// reading the residency rows from `rows` and every architecture
+    /// constant from `slots`. The oracle paths pass the view (rows
+    /// re-derived by its accessors) and [`LiveSlots`]; the fast paths
+    /// pass a [`Residency`](crate::Residency) and its folded table, built through
+    /// `LiveSlots` from the same hierarchy, so both produce the same
+    /// bits.
     pub(crate) fn rebuild_full(
         &mut self,
-        view: &MappedLayer<'_>,
+        layer: &Layer,
+        rows: &impl ResidencySource,
         opts: DtlOptions,
         pins: ResidencyPins,
         slots: &impl ArchSlots,
     ) {
         self.opts = opts;
         self.pins = pins;
-        self.stage_residency(view);
-        self.stage_feed_rates(view);
-        self.stage_phases(view.layer(), slots);
-        self.stage_dtl_graph(view.layer(), slots);
+        self.stage_residency(rows);
+        self.stage_feed_rates(rows);
+        self.stage_phases(layer, slots);
+        self.stage_dtl_graph(layer, slots);
     }
 
     /// [`Stage::Residency`]: the per-`(operand, level)` tables, the
-    /// loops-above arena and the layer scalars. Reads workload, mapping
-    /// and architecture structure (chain shapes) — never bandwidths or
-    /// capacities.
-    fn stage_residency(&mut self, view: &MappedLayer<'_>) {
-        let h = view.arch().hierarchy();
+    /// loops-above arena and the layer scalars, copied from `rows`.
+    /// Reads workload, mapping and architecture structure (chain shapes)
+    /// — never bandwidths or capacities.
+    fn stage_residency(&mut self, rows: &impl ResidencySource) {
         self.levels.clear();
         self.loops.clear();
 
-        self.cc_ideal = view.cc_ideal();
-        self.cc_spatial = view.cc_spatial();
-        self.spatial_stall = view.spatial_stall();
+        self.cc_ideal = rows.cc_ideal();
+        self.cc_spatial = rows.cc_spatial();
+        self.spatial_stall = self.cc_spatial as f64 - self.cc_ideal;
 
-        let stack = view.mapping().stack();
         for op in Operand::all() {
             self.offsets[op.index()] = self.levels.len();
-            let rel = view.layer().operand_relevance(op);
-            let chain = h.chain(op);
-            for level in 0..chain.len() {
+            for level in 0..rows.levels(op) {
                 let lo = self.loops.len() as u32;
-                let from = view.mapping().alloc(op).upper(level);
-                self.loops.extend(
-                    stack.loops()[from..]
-                        .iter()
-                        .map(|l| (l.size, rel.get(l.dim).is_relevant())),
-                );
+                rows.extend_loops_above(op, level, &mut self.loops);
                 self.levels.push(LevelLowering {
-                    words: view.mem_data_words(op, level),
-                    period: view.mem_cc(op, level),
-                    z: view.z(op, level),
-                    run: view.top_ir_run(op, level),
-                    refills: view.refill_count(op, level),
-                    distinct_above: view.distinct_blocks_above(op, level),
-                    final_above: !view.has_ir_above(op, level),
                     loops: (lo, self.loops.len() as u32),
+                    ..rows.row(op, level)
                 });
             }
-            let base = kv_active_interfaces(view.layer(), op, chain.len());
             let pinned = self.pins[op.index()].unwrap_or(usize::MAX);
-            self.active[op.index()] = base.min(pinned) as u32;
+            self.active[op.index()] = rows.active_interfaces(op).min(pinned) as u32;
         }
         self.offsets[3] = self.levels.len();
     }
 
     /// [`Stage::FeedRates`]: per-operand distinct words per cycle. Reads
     /// workload relevance and the spatial unroll only.
-    fn stage_feed_rates(&mut self, view: &MappedLayer<'_>) {
-        let spatial = view.mapping().spatial();
+    fn stage_feed_rates(&mut self, rows: &impl ResidencySource) {
         for op in Operand::all() {
-            let rel = view.layer().operand_relevance(op);
-            self.words_per_cycle[op.index()] = spatial
-                .factors()
-                .iter()
-                .filter(|(d, _)| rel.get(*d) != Relevance::Irrelevant)
-                .map(|&(_, f)| f)
-                .product();
+            self.words_per_cycle[op.index()] = rows.words_per_cycle(op);
         }
     }
 
@@ -280,6 +270,7 @@ impl LoweredLayer {
             // Preserves `self.pins` (unlike `build_into`): a pinned IR
             // stays pinned across incremental rebuilds.
             self.rebuild_full(
+                view.layer(),
                 view,
                 opts,
                 self.pins,
@@ -485,6 +476,76 @@ impl Iterator for Regions<'_> {
             self.id -= (size - 1) * w;
         }
         Some(id)
+    }
+}
+
+/// A source of the rows the lowering's Residency stage copies: the
+/// view (the from-scratch oracle, every row re-derived by the
+/// [`MappedLayer`] accessors) or a [`Residency`](crate::Residency) (the fast paths' memoized
+/// split). [`LevelRows::active_interfaces`] is the unpinned count.
+pub(crate) trait ResidencySource: LevelRows {
+    /// Levels in `op`'s memory chain.
+    fn levels(&self, op: Operand) -> usize;
+    /// Appends the `(size, relevant)` loops above `(op, level)`,
+    /// innermost-above first.
+    fn extend_loops_above(&self, op: Operand, level: usize, out: &mut Vec<(u64, bool)>);
+    /// `CC_ideal` (may be fractional).
+    fn cc_ideal(&self) -> f64;
+    /// `CC_spatial`: the temporal iteration count.
+    fn cc_spatial(&self) -> u64;
+}
+
+impl LevelRows for MappedLayer<'_> {
+    fn active_interfaces(&self, op: Operand) -> usize {
+        kv_active_interfaces(self.layer(), op, self.arch().hierarchy().chain(op).len())
+    }
+
+    fn row(&self, op: Operand, level: usize) -> LevelLowering {
+        LevelLowering {
+            words: self.mem_data_words(op, level),
+            period: self.mem_cc(op, level),
+            z: self.z(op, level),
+            run: self.top_ir_run(op, level),
+            refills: self.refill_count(op, level),
+            distinct_above: self.distinct_blocks_above(op, level),
+            final_above: !self.has_ir_above(op, level),
+            loops: (0, 0),
+        }
+    }
+
+    fn words_per_cycle(&self, op: Operand) -> u64 {
+        let rel = self.layer().operand_relevance(op);
+        self.mapping()
+            .spatial()
+            .factors()
+            .iter()
+            .filter(|(d, _)| rel.get(*d) != Relevance::Irrelevant)
+            .map(|&(_, f)| f)
+            .product()
+    }
+}
+
+impl ResidencySource for MappedLayer<'_> {
+    fn levels(&self, op: Operand) -> usize {
+        self.arch().hierarchy().chain(op).len()
+    }
+
+    fn extend_loops_above(&self, op: Operand, level: usize, out: &mut Vec<(u64, bool)>) {
+        let rel = self.layer().operand_relevance(op);
+        let from = self.mapping().alloc(op).upper(level);
+        out.extend(
+            self.mapping().stack().loops()[from..]
+                .iter()
+                .map(|l| (l.size, rel.get(l.dim).is_relevant())),
+        );
+    }
+
+    fn cc_ideal(&self) -> f64 {
+        MappedLayer::cc_ideal(self)
+    }
+
+    fn cc_spatial(&self) -> u64 {
+        MappedLayer::cc_spatial(self)
     }
 }
 

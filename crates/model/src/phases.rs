@@ -7,64 +7,26 @@
 //! (Section III); W and I load in parallel, so the pre-load phase is their
 //! maximum.
 
-use crate::lower::{kv_active_interfaces, LoweredLayer};
+use crate::dtl::LevelRows;
 use crate::slots::ArchSlots;
-use ulm_arch::PortUse;
-use ulm_mapping::MappedLayer;
 use ulm_workload::{Layer, Operand};
 
-/// Cycles to pre-load the first W and I working sets (max over the two
-/// operands of the pipeline-fill chain down their hierarchies). KV-cache
-/// resident operands skip the top interface: they are already in place.
-pub fn preload_cycles(view: &MappedLayer<'_>) -> u64 {
-    let h = view.arch().hierarchy();
-    let mut worst = 0u64;
-    for op in [Operand::W, Operand::I] {
-        let chain = h.chain(op);
-        let bits = view.layer().precision().bits(op);
-        let mut total = 0u64;
-        for level in 0..kv_active_interfaces(view.layer(), op, chain.len()) {
-            let block_bits = view.mem_data_words(op, level) * bits;
-            let (_, wbw) = h.port(chain[level], op, PortUse::WriteIn);
-            let (_, rbw) = h.port(chain[level + 1], op, PortUse::ReadOut);
-            let bw = wbw.min(rbw);
-            total += block_bits.div_ceil(bw);
-        }
-        worst = worst.max(total);
-    }
-    worst
-}
-
-/// Cycles to off-load the final output block up to the top memory.
-pub fn offload_cycles(view: &MappedLayer<'_>) -> u64 {
-    let h = view.arch().hierarchy();
-    let chain = h.chain(Operand::O);
-    let mut total = 0u64;
-    for level in 0..kv_active_interfaces(view.layer(), Operand::O, chain.len()) {
-        let is_final = view.outputs_final_above(level);
-        let bits = view.layer().precision().output_bits(is_final);
-        let block_bits = view.mem_data_words(Operand::O, level) * bits;
-        let (_, rbw) = h.port(chain[level], Operand::O, PortUse::ReadOut);
-        let (_, wbw) = h.port(chain[level + 1], Operand::O, PortUse::WriteIn);
-        let bw = rbw.min(wbw);
-        total += block_bits.div_ceil(bw);
-    }
-    total
-}
-
-/// The pre-load arithmetic body of the lowering's phase stage: block
-/// sizes come from the lowered residency tables and link bandwidths
-/// through `slots` (the same `u64` min of the two port bandwidths the
-/// view lookups take), so it yields the same integers as
-/// [`preload_cycles`], on the generic path and over the surrogate's
-/// folded tables alike.
-pub(crate) fn preload_cycles_with(layer: &Layer, lw: &LoweredLayer, slots: &impl ArchSlots) -> u64 {
+/// Cycles to pre-load the first W and I working sets: the max over the
+/// two operands of the pipeline-fill chain down their hierarchies, with
+/// block sizes read off the residency `rows` and link bandwidths through
+/// `slots`. KV-cache resident (and pinned) operands skip the interfaces
+/// above their residency level: they are already in place.
+pub(crate) fn preload_cycles_with(
+    layer: &Layer,
+    rows: &impl LevelRows,
+    slots: &impl ArchSlots,
+) -> u64 {
     let mut worst = 0u64;
     for op in [Operand::W, Operand::I] {
         let bits = layer.precision().bits(op);
         let mut total = 0u64;
-        for level in 0..lw.active_interfaces(op) {
-            let block_bits = lw.level(op, level).words * bits;
+        for level in 0..rows.active_interfaces(op) {
+            let block_bits = rows.row(op, level).words * bits;
             total += block_bits.div_ceil(slots.interface(op, level).bw_bits);
         }
         worst = worst.max(total);
@@ -72,11 +34,16 @@ pub(crate) fn preload_cycles_with(layer: &Layer, lw: &LoweredLayer, slots: &impl
     worst
 }
 
-/// The off-load arithmetic body; see [`preload_cycles_with`].
-pub(crate) fn offload_cycles_with(layer: &Layer, lw: &LoweredLayer, slots: &impl ArchSlots) -> u64 {
+/// Cycles to off-load the final output block up to the top memory; see
+/// [`preload_cycles_with`].
+pub(crate) fn offload_cycles_with(
+    layer: &Layer,
+    rows: &impl LevelRows,
+    slots: &impl ArchSlots,
+) -> u64 {
     let mut total = 0u64;
-    for level in 0..lw.active_interfaces(Operand::O) {
-        let row = lw.level(Operand::O, level);
+    for level in 0..rows.active_interfaces(Operand::O) {
+        let row = rows.row(Operand::O, level);
         let bits = layer.precision().output_bits(row.final_above);
         let block_bits = row.words * bits;
         total += block_bits.div_ceil(slots.interface(Operand::O, level).bw_bits);
@@ -86,9 +53,9 @@ pub(crate) fn offload_cycles_with(layer: &Layer, lw: &LoweredLayer, slots: &impl
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{DtlOptions, LoweredLayer};
     use ulm_arch::presets;
-    use ulm_mapping::{LoopStack, Mapping, SpatialUnroll};
+    use ulm_mapping::{LoopStack, MappedLayer, Mapping, SpatialUnroll};
     use ulm_workload::{Dim, Layer, Precision};
 
     #[test]
@@ -103,12 +70,13 @@ mod tests {
         )
         .unwrap();
         let view = MappedLayer::new(&layer, &chip.arch, &mapping).unwrap();
+        let lw = LoweredLayer::build(&view, DtlOptions::default());
         // W first block: 2 words x 8b over an 8 b/cy link = 2 cycles.
         // I first block: 2 words x 8b over 8 b/cy = 2 cycles. Max = 2.
-        assert_eq!(preload_cycles(&view), 2);
+        assert_eq!(lw.preload(), 2);
         // O final block: 4 words, final (8b) over min(O-Reg rd 96,
         // LB wr 16) = 16 b/cy -> 32/16 = 2 cycles.
-        assert_eq!(offload_cycles(&view), 2);
+        assert_eq!(lw.offload(), 2);
     }
 
     #[test]
@@ -119,8 +87,9 @@ mod tests {
         let stack = LoopStack::from_pairs(&[(Dim::C, 32), (Dim::B, 8), (Dim::K, 4)]);
         let mapping = Mapping::with_greedy_alloc(&chip, &layer, spatial, stack).unwrap();
         let view = MappedLayer::new(&layer, &chip, &mapping).unwrap();
+        let lw = LoweredLayer::build(&view, DtlOptions::default());
         // Three levels for W/I: two links each, so preload covers both.
-        assert!(preload_cycles(&view) > 0);
-        assert!(offload_cycles(&view) > 0);
+        assert!(lw.preload() > 0);
+        assert!(lw.offload() > 0);
     }
 }

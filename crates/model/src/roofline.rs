@@ -11,10 +11,11 @@
 //! the roofline) from *schedule-induced* stalls (burstiness, keep-out
 //! windows, port sharing) that only the 3-step model captures.
 
-use crate::lower::kv_active_interfaces;
-use ulm_arch::PortUse;
+use crate::dtl::LevelRows;
+use crate::lower::LevelLowering;
+use crate::slots::{ArchSlots, LiveSlots};
 use ulm_mapping::MappedLayer;
-use ulm_workload::Operand;
+use ulm_workload::{Layer, Operand};
 
 /// One bandwidth roof.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -63,34 +64,16 @@ impl Roofline {
     }
 }
 
-/// The traffic and bandwidth of one interface roof (no label `String`).
-fn roof_numbers(view: &MappedLayer<'_>, op: Operand, level: usize) -> (u64, u64) {
-    let h = view.arch().hierarchy();
-    let layer = view.layer();
-    let chain = h.chain(op);
-    let lower = chain[level];
-    let upper = chain[level + 1];
-    let words = view.mem_data_words(op, level);
+/// Total bits crossing the interface above `row` over the layer: every
+/// W/I refill, and for O every drain plus every partial-sum read-back.
+fn traffic_bits(layer: &Layer, op: Operand, row: &LevelLowering) -> u64 {
+    let prec = layer.precision();
     match op {
-        Operand::W | Operand::I => {
-            let bits = words * layer.precision().bits(op) * view.refill_count(op, level);
-            let bw = h
-                .port(upper, op, PortUse::ReadOut)
-                .1
-                .min(h.port(lower, op, PortUse::WriteIn).1);
-            (bits, bw)
-        }
+        Operand::W | Operand::I => row.words * prec.bits(op) * row.refills,
         Operand::O => {
-            let is_final = view.outputs_final_above(level);
-            let drains = view.refill_count(op, level);
-            let revisits = drains - view.distinct_blocks_above(op, level);
-            let bits = words * layer.precision().output_bits(is_final) * drains
-                + words * layer.precision().partial_sum_bits() * revisits;
-            let up = h
-                .port(lower, op, PortUse::ReadOut)
-                .1
-                .min(h.port(upper, op, PortUse::WriteIn).1);
-            (bits, up)
+            let revisits = row.refills - row.distinct_above;
+            row.words * prec.output_bits(row.final_above) * row.refills
+                + row.words * prec.partial_sum_bits() * revisits
         }
     }
 }
@@ -99,16 +82,18 @@ fn roof_numbers(view: &MappedLayer<'_>, op: Operand, level: usize) -> (u64, u64)
 /// traffic (distinct-block refill counts; psum round trips included).
 pub fn roofline(view: &MappedLayer<'_>) -> Roofline {
     let h = view.arch().hierarchy();
+    let slots = LiveSlots::new(h);
     let mut roofs = Vec::new();
     for op in Operand::all() {
         let chain = h.chain(op);
         // KV-cache resident operands never cross their top interface, so
         // it imposes no roof (and the bound stays admissible for the
         // mapper's pruning).
-        for level in 0..kv_active_interfaces(view.layer(), op, chain.len()) {
+        for level in 0..view.active_interfaces(op) {
             let lower = chain[level];
             let upper = chain[level + 1];
-            let (traffic_bits, bw_bits) = roof_numbers(view, op, level);
+            let traffic_bits = traffic_bits(view.layer(), op, &view.row(op, level));
+            let bw_bits = slots.interface(op, level).bw_bits;
             roofs.push(Roof {
                 interface: format!("{op}: {}<->{}", h.mem(upper).name(), h.mem(lower).name()),
                 traffic_bits,
@@ -123,18 +108,21 @@ pub fn roofline(view: &MappedLayer<'_>) -> Roofline {
     }
 }
 
-/// [`Roofline::bound_cycles`] without building the [`Roofline`]: the max
-/// over the compute roof and every interface roof, computed with zero
-/// heap allocations. Used as a cheap lower bound by the mapper's
-/// branch-and-bound search.
-pub fn roofline_bound(view: &MappedLayer<'_>) -> f64 {
-    let h = view.arch().hierarchy();
-    let mut bound = view.cc_ideal();
+/// [`Roofline::bound_cycles`] without building the [`Roofline`], read
+/// off residency `rows`: the max over the compute roof and every
+/// interface roof, in the report's (operand, level) order so the float
+/// max chain matches. The scalar search's prune bound.
+pub(crate) fn bound_with(
+    layer: &Layer,
+    rows: &impl LevelRows,
+    slots: &impl ArchSlots,
+    cc_ideal: f64,
+) -> f64 {
+    let mut bound = cc_ideal;
     for op in Operand::all() {
-        let chain = h.chain(op);
-        for level in 0..kv_active_interfaces(view.layer(), op, chain.len()) {
-            let (traffic_bits, bw_bits) = roof_numbers(view, op, level);
-            bound = bound.max(traffic_bits as f64 / bw_bits as f64);
+        for level in 0..rows.active_interfaces(op) {
+            let traffic = traffic_bits(layer, op, &rows.row(op, level));
+            bound = bound.max(traffic as f64 / slots.interface(op, level).bw_bits as f64);
         }
     }
     bound
@@ -143,7 +131,7 @@ pub fn roofline_bound(view: &MappedLayer<'_>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LatencyModel;
+    use crate::{LatencyModel, Residency};
     use ulm_arch::presets;
     use ulm_mapping::{LoopStack, Mapping, SpatialUnroll};
     use ulm_workload::{Dim, Layer, Precision};
@@ -180,12 +168,16 @@ mod tests {
             let arch = presets::case_study_chip(128);
             let layer = Layer::matmul("r", b, k, c, Precision::int8_out24());
             let spatial = SpatialUnroll::new(vec![(Dim::K, 16), (Dim::B, 8), (Dim::C, 2)]);
-            let stack =
-                LoopStack::from_pairs(&[(Dim::C, c / 2), (Dim::B, b / 8), (Dim::K, k / 16)]);
-            let mapping = Mapping::with_greedy_alloc(&arch, &layer, spatial, stack).unwrap();
+            let stack = [(Dim::C, c / 2), (Dim::B, b / 8), (Dim::K, k / 16)];
+            let mapping =
+                Mapping::with_greedy_alloc(&arch, &layer, spatial, LoopStack::from_pairs(&stack))
+                    .unwrap();
             let view = MappedLayer::new(&layer, &arch, &mapping).unwrap();
             let rl = roofline(&view);
-            assert_eq!(rl.bound_cycles().to_bits(), roofline_bound(&view).to_bits());
+            let mut res = Residency::new(&arch, &layer, mapping.spatial(), &stack);
+            res.push(&layer, &stack).unwrap();
+            let bound = bound_with(&layer, &res, res.slots(), view.cc_ideal());
+            assert_eq!(rl.bound_cycles().to_bits(), bound.to_bits());
         }
     }
 

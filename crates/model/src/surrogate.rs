@@ -10,9 +10,10 @@
 //! arch-dependent table the pipeline reads — the per-interface port LUTs,
 //! link bandwidths and buffering flags — into flat slot tables, and at
 //! [`query`](SpecializedModel::query) time it runs only the small
-//! workload-dim kernel over them: re-derive the temporal bounds, reassign
-//! the greedy allocation in place, rebuild the residency tables, and
-//! price phases + DTLs off the folded slots.
+//! workload-dim kernel over them: re-derive the temporal bounds,
+//! re-target the shared [`Residency`] routine in place for the greedy
+//! split and the residency rows, and price phases + DTLs off the folded
+//! slots.
 //!
 //! The result is **bit-identical to
 //! [`evaluate_fast`](crate::LatencyModel::evaluate_fast) by
@@ -23,13 +24,13 @@
 //! available as the differential oracle
 //! ([`query_oracle`](SpecializedModel::query_oracle)).
 
-use crate::slots::FoldedSlots;
+use crate::residency::{Reject, Residency};
 use crate::stall::Reuse;
 use crate::{FastLatency, LatencyModel, ModelScratch};
 use std::fmt;
 use ulm_arch::Architecture;
-use ulm_mapping::{LoopStack, MappedLayer, Mapping, OperandAlloc, SpatialUnroll};
-use ulm_workload::{Dim, DimSizes, Layer, LayerType};
+use ulm_mapping::{LoopStack, MappedLayer, Mapping, SpatialUnroll};
+use ulm_workload::{Dim, Layer, LayerType};
 
 /// Why a surrogate could not be prepared or a query could not be
 /// answered. Carried by `UlmError::Surrogate` with `surrogate/*` codes.
@@ -203,12 +204,10 @@ pub struct SpecializedModel {
     arch: Architecture,
     shape: MappingShape,
     template: Layer,
-    mapping: Mapping,
-    slots: FoldedSlots,
+    /// Re-targeted at each query's dims; holds the folded link constants.
+    residency: Residency,
     scratch: ModelScratch,
-    residency: Vec<u64>,
     pairs: Vec<(Dim, u64)>,
-    prefix: Vec<DimSizes>,
     stats: SurrogateStats,
     /// Answered points: `(B, K, C)` → the exact [`FastLatency`] the
     /// specialized kernel produced. The model is deterministic per
@@ -241,29 +240,14 @@ impl SpecializedModel {
                 layer: template.name().to_string(),
             });
         }
-        let slots = FoldedSlots::fold(arch.hierarchy());
-        // Seed the reusable mapping with placeholder loops/allocs; every
-        // query reassigns both in place before use.
-        let mapping = Mapping::new(
-            shape.spatial.clone(),
-            LoopStack::from_pairs(&[]),
-            ulm_workload::PerOperand::new(
-                OperandAlloc::flat(0),
-                OperandAlloc::flat(0),
-                OperandAlloc::flat(0),
-            ),
-        );
         Ok(Self {
             model,
             arch: arch.clone(),
+            residency: Residency::new(arch, template, &shape.spatial, &[]),
             shape,
             template: template.clone(),
-            mapping,
-            slots,
             scratch: ModelScratch::default(),
-            residency: Vec::new(),
             pairs: Vec::new(),
-            prefix: Vec::new(),
             stats: SurrogateStats::default(),
             memo: std::collections::HashMap::new(),
         })
@@ -293,15 +277,8 @@ impl SpecializedModel {
     }
 
     /// Instantiates the shape at `(b, k, c)`: writes the temporal bounds
-    /// `ceil(dim / spatial extent)` into `pairs` (unit loops dropped) and
-    /// the running extent products into `prefix`
-    /// (`prefix[p]` = spatial × the `p` innermost temporal loops).
-    fn instantiate(
-        shape: &MappingShape,
-        dims: (u64, u64, u64),
-        pairs: &mut Vec<(Dim, u64)>,
-        prefix: &mut Vec<DimSizes>,
-    ) {
+    /// `ceil(dim / spatial extent)` into `pairs`, unit loops dropped.
+    fn instantiate(shape: &MappingShape, dims: (u64, u64, u64), pairs: &mut Vec<(Dim, u64)>) {
         let (b, k, c) = dims;
         let size = |d: Dim| match d {
             Dim::B => b,
@@ -310,22 +287,17 @@ impl SpecializedModel {
             _ => 1,
         };
         pairs.clear();
-        prefix.clear();
-        let mut ext = shape.spatial.extents();
-        prefix.push(ext);
         for &d in &shape.ordering {
             let bound = size(d).div_ceil(shape.spatial.extent(d));
             if bound > 1 {
                 pairs.push((d, bound));
-                ext.multiply(d, bound);
-                prefix.push(ext);
             }
         }
     }
 
     /// Answers one workload point through the specialized kernel:
-    /// temporal bounds → in-place greedy reallocation → residency/feed
-    /// stages → phases + DTLs off the folded slots → Step 2 with the
+    /// temporal bounds → the re-targeted residency routine's greedy split
+    /// and rows → phases + DTLs off the folded slots → Step 2 with the
     /// cached port grouping (full combine on the first query or when the
     /// DTL inventory moved). A point this model has already priced is
     /// answered from the point memo without running any stage — the model
@@ -346,26 +318,23 @@ impl SpecializedModel {
             arch,
             shape,
             template,
-            mapping,
-            slots,
-            scratch,
             residency,
+            scratch,
             pairs,
-            prefix,
             stats,
             memo,
         } = self;
+        let dims = (b, k, c);
         template.set_matmul_dims(b, k, c);
-        Self::instantiate(shape, (b, k, c), pairs, prefix);
-        if !mapping.reassign_greedy(arch, template, pairs, prefix) {
-            return Err(SurrogateError::Infeasible { dims: (b, k, c) });
-        }
-        let Some(view) = MappedLayer::new_fast(template, arch, mapping, residency) else {
-            return Err(SurrogateError::InvalidMapping { dims: (b, k, c) });
-        };
-        scratch
-            .lowered_mut()
-            .rebuild_full(&view, model.dtl_options(), [None; 3], &*slots);
+        Self::instantiate(shape, dims, pairs);
+        residency.retarget(arch, template, &shape.spatial, pairs);
+        residency
+            .push(template, pairs)
+            .map_err(|reject| match reject {
+                Reject::NoSplit => SurrogateError::Infeasible { dims },
+                Reject::Invalid => SurrogateError::InvalidMapping { dims },
+            })?;
+        scratch.lower_residency(template, residency, model.dtl_options());
         let (lowered, stall) = scratch.parts();
         let ss_overall = model.ss_overall(arch, lowered.dtls(), stall, Reuse::Grouping, false);
         if model.options().bw_aware {
@@ -394,8 +363,8 @@ impl SpecializedModel {
         }
         let mut layer = self.template.clone();
         layer.set_matmul_dims(b, k, c);
-        let (mut pairs, mut prefix) = (Vec::new(), Vec::new());
-        Self::instantiate(&self.shape, (b, k, c), &mut pairs, &mut prefix);
+        let mut pairs = Vec::new();
+        Self::instantiate(&self.shape, (b, k, c), &mut pairs);
         let mapping = Mapping::with_greedy_alloc(
             &self.arch,
             &layer,
@@ -512,8 +481,8 @@ mod tests {
         let shape = MappingShape::from_mapping(&mapping).unwrap();
         assert_eq!(shape.ordering(), &[Dim::C, Dim::B, Dim::K]);
         // Instantiating at the original dims reproduces the stack.
-        let (mut pairs, mut prefix) = (Vec::new(), Vec::new());
-        SpecializedModel::instantiate(&shape, (64, 96, 640), &mut pairs, &mut prefix);
+        let mut pairs = Vec::new();
+        SpecializedModel::instantiate(&shape, (64, 96, 640), &mut pairs);
         assert_eq!(pairs, vec![(Dim::C, 320), (Dim::B, 8), (Dim::K, 6)]);
     }
 

@@ -61,6 +61,6 @@ pub use pool::{JobHandle, PoolStats, WorkerPool};
 pub use server::{
     run_batch, run_reactor, run_tcp, BatchSummary, DiskStats, EvalOutcome, EvalService,
     LatencySummary, ReactorService, SearchMeta, SearchTotals, ServeOptions, SurrogateTotals,
-    WhatifTotals, CACHE_LOG_FILE,
+    WhatifTotals, CACHE_LOG_FILE, MAX_TCP_CONNECTIONS,
 };
 pub use store::{CacheLog, ReplayReport};

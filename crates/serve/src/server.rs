@@ -56,7 +56,7 @@ use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use ulm_arch::{presets, ArchDesc, Architecture};
@@ -1812,9 +1812,16 @@ fn serve_connection(service: &Arc<EvalService>, stream: &std::net::TcpStream) {
     }
 }
 
-/// Serves NDJSON over TCP: one connection per client thread, one response
-/// line per request line, until the client closes. `max_connections` bounds
-/// how many connections are accepted before returning (`None` = serve
+/// Connections [`run_tcp`] serves at once, one thread each. A connection
+/// accepted beyond it gets the reactor's `serve/over-capacity` line and
+/// is closed, so a client holding sockets open cannot make the server
+/// start unbounded threads.
+pub const MAX_TCP_CONNECTIONS: usize = 256;
+
+/// Serves NDJSON over TCP: one connection per client thread (at most
+/// [`MAX_TCP_CONNECTIONS`] at once), one response line per request line,
+/// until the client closes. `max_connections` bounds how many connections
+/// are accepted, rejected ones included, before returning (`None` = serve
 /// forever); malformed requests produce error responses, not disconnects.
 ///
 /// Transient `accept` failures (aborted handshakes, descriptor
@@ -1831,6 +1838,7 @@ pub fn run_tcp(
     listener: TcpListener,
     max_connections: Option<usize>,
 ) -> std::io::Result<()> {
+    let active = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         let mut accepted = 0usize;
         loop {
@@ -1849,8 +1857,19 @@ pub fn run_tcp(
                 Err(e) => return Err(e),
             };
             accepted += 1;
+            let open = active.load(Ordering::Acquire);
+            if open >= MAX_TCP_CONNECTIONS {
+                let line = error_response(&UlmError::OverCapacity { active: open });
+                let _ = (&stream).write_all(format!("{line}\n").as_bytes());
+                continue;
+            }
+            active.fetch_add(1, Ordering::AcqRel);
             let service = Arc::clone(service);
-            scope.spawn(move || serve_connection(&service, &stream));
+            let active = &active;
+            scope.spawn(move || {
+                serve_connection(&service, &stream);
+                active.fetch_sub(1, Ordering::AcqRel);
+            });
         }
         Ok(())
     })
@@ -2440,6 +2459,42 @@ mod tests {
         assert_eq!(first.get("ok"), Some(&Value::Bool(true)));
         let second = parse(&lines[1]);
         assert_eq!(second.get("ok"), Some(&Value::Bool(false)));
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn tcp_connections_over_the_cap_are_refused() {
+        use std::io::{BufRead as _, Read as _};
+        use std::net::TcpStream;
+
+        let svc = service();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let svc2 = Arc::clone(&svc);
+        let server =
+            std::thread::spawn(move || run_tcp(&svc2, listener, Some(MAX_TCP_CONNECTIONS + 1)));
+
+        // Idle connections up to the cap, each holding a server thread.
+        let idle: Vec<TcpStream> = (0..MAX_TCP_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let extra = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(&extra);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v = parse(line.trim_end());
+        assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{line}");
+        assert_eq!(
+            v.get("code").and_then(Value::as_str),
+            Some("serve/over-capacity"),
+            "{line}"
+        );
+        // ...and the server closed it.
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty());
+
+        drop(idle);
         server.join().unwrap().unwrap();
     }
 }

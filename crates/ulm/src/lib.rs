@@ -66,9 +66,9 @@ pub mod prelude {
         SegmentResidency, SpatialUnroll, TemporalLoop,
     };
     pub use ulm_model::{
-        apply_overrides, parse_measurements, roofline_bound, Calibration, CalibrationFit,
-        Calibrator, FastLatency, InputDelta, KnobError, LatencyModel, LatencyReport, LoweredLayer,
-        MappingShape, ModelOptions, ModelScratch, RebuildStats, Scenario, SpecializedModel,
+        apply_overrides, parse_measurements, Calibration, CalibrationFit, Calibrator, FastLatency,
+        InputDelta, KnobError, LatencyModel, LatencyReport, LoweredLayer, MappingShape,
+        ModelOptions, ModelScratch, RebuildStats, Scenario, SpecializedModel,
     };
     pub use ulm_network::{InterLayerOverlap, NetworkEvaluator, NetworkReport};
     pub use ulm_serve::{EvalService, Fingerprint, ResultCache, ServeOptions, WorkerPool};
